@@ -247,30 +247,6 @@ func (s Set) Complement(n int) Set {
 	return Full(n).Diff(s)
 }
 
-// ProperSubsets enumerates every non-empty proper subset of s and calls fn
-// for each. Enumeration order is unspecified. fn returning false stops the
-// enumeration early. The number of subsets is exponential in |s|; callers
-// guard the size of s (the shadowed-FD phase of MUDS is the only user).
-func (s Set) ProperSubsets(fn func(sub Set) bool) {
-	cols := s.Columns()
-	n := len(cols)
-	if n == 0 {
-		return
-	}
-	// Iterate masks 1 .. 2^n-2 (skip empty and full).
-	for mask := uint64(1); mask < (uint64(1)<<n)-1; mask++ {
-		var sub Set
-		for i := 0; i < n; i++ {
-			if mask&(uint64(1)<<i) != 0 {
-				sub = sub.With(cols[i])
-			}
-		}
-		if !fn(sub) {
-			return
-		}
-	}
-}
-
 // SubsetsOfSize enumerates all subsets of s with exactly k columns.
 func (s Set) SubsetsOfSize(k int, fn func(sub Set) bool) {
 	cols := s.Columns()
@@ -354,17 +330,15 @@ func Sort(sets []Set) {
 	})
 }
 
-// Less is the ordering used by Sort.
+// Less is the ordering used by Sort: by cardinality, then lexicographically
+// by the ascending column lists. Two sets of equal size share every column
+// below the lowest column in which they differ, so the set holding that
+// column has the smaller list.
 func Less(a, b Set) bool {
 	la, lb := a.Len(), b.Len()
 	if la != lb {
 		return la < lb
 	}
-	ca, cb := a.Columns(), b.Columns()
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return ca[i] < cb[i]
-		}
-	}
-	return false
+	d := a.Diff(b).Union(b.Diff(a)).First()
+	return d >= 0 && a.Has(d)
 }

@@ -169,36 +169,6 @@ func TestDirectSupersets(t *testing.T) {
 	}
 }
 
-func TestProperSubsets(t *testing.T) {
-	s := FromLetters("ABC")
-	seen := map[Set]bool{}
-	s.ProperSubsets(func(sub Set) bool {
-		if seen[sub] {
-			t.Errorf("subset %v enumerated twice", sub)
-		}
-		seen[sub] = true
-		if !sub.IsProperSubsetOf(s) || sub.IsEmpty() {
-			t.Errorf("invalid proper subset %v", sub)
-		}
-		return true
-	})
-	if len(seen) != 6 { // 2^3 - 2
-		t.Errorf("enumerated %d proper subsets, want 6", len(seen))
-	}
-}
-
-func TestProperSubsetsEarlyStop(t *testing.T) {
-	s := FromLetters("ABCD")
-	count := 0
-	s.ProperSubsets(func(Set) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Errorf("early stop after %d, want 3", count)
-	}
-}
-
 func TestSubsetsOfSize(t *testing.T) {
 	s := FromLetters("ABCD")
 	var got []Set
@@ -268,6 +238,22 @@ func TestSortAndLess(t *testing.T) {
 	}
 	if Less(FromLetters("AB"), FromLetters("AB")) {
 		t.Error("Less must be irreflexive")
+	}
+	// Equal-size sets compare lexicographically by their column lists.
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		a, b := randomSet(r, 6), randomSet(r, 6)
+		if a.Len() != b.Len() {
+			continue
+		}
+		ca, cb := a.Columns(), b.Columns()
+		k := 0
+		for k < len(ca) && ca[k] == cb[k] {
+			k++
+		}
+		if want := k < len(ca) && ca[k] < cb[k]; Less(a, b) != want {
+			t.Fatalf("Less(%v, %v) = %v, want %v", a, b, !want, want)
+		}
 	}
 }
 

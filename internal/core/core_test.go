@@ -63,19 +63,27 @@ func TestConnectorLookupPaperExample(t *testing.T) {
 	}
 }
 
-// TestImpossibleColumnsRule1 checks pruning rule 1 of Sec. 4: no FD can lie
-// fully inside a minimal UCC.
+// TestImpossibleColumnsRule1 checks pruning rule 1 of Sec. 4 as the
+// completion sweep applies it: no FD can lie fully inside a minimal UCC, so
+// for every minimal UCC V containing a right-hand side a, V\{a} is a false
+// certificate for a — next to rule 2's R\Z.
 func TestImpossibleColumnsRule1(t *testing.T) {
 	store := fd.NewStore()
 	uccs := []bitset.Set{bitset.FromLetters("ABC"), bitset.FromLetters("CD")}
 	m := newMudsFD(nil, bitset.Full(5), uccs, store, 0)
-	// lhs AB lies inside ABC: C is an impossible rhs.
-	if got := m.impossibleColumns(bitset.FromLetters("AB")); got != bitset.FromLetters("C") {
-		t.Errorf("impossibleColumns(AB) = %v, want C", got)
+	// C lies in ABC and CD: AB ↛ C and D ↛ C by rule 1, E ↛ C by rule 2.
+	got := m.pruningCertificates(2)
+	bitset.Sort(got)
+	want := []bitset.Set{bitset.FromLetters("D"), bitset.FromLetters("E"), bitset.FromLetters("AB")}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("pruningCertificates(C) = %v, want %v", got, want)
 	}
-	// lhs E lies in no UCC: nothing is impossible by rule 1.
-	if got := m.impossibleColumns(bitset.FromLetters("E")); !got.IsEmpty() {
-		t.Errorf("impossibleColumns(E) = %v, want ∅", got)
+	// A lies only in ABC: BC ↛ A by rule 1, E ↛ A by rule 2.
+	got = m.pruningCertificates(0)
+	bitset.Sort(got)
+	want = []bitset.Set{bitset.FromLetters("E"), bitset.FromLetters("BC")}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("pruningCertificates(A) = %v, want %v", got, want)
 	}
 }
 

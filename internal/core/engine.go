@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -86,18 +87,21 @@ func unknownStrategyError(name string) error {
 
 // recorder is the engine-installed Observer: it assembles Result.Phases and
 // Result.Checks from the phase/check events while forwarding every event to
-// the user's observer. Durations of repeated phases (fixpoint rounds, the
-// baseline's extra input passes) are merged into one entry at the phase's
-// first position, matching the paper's Figure 8 layout.
+// the user's observer. Durations of repeated phases (the baseline's extra
+// input passes) are merged into one entry at the phase's first position,
+// matching the paper's Figure 8 layout.
 type recorder struct {
 	user   Observer
 	phases []Phase
 	index  map[string]int
 	checks int
 	cache  []pli.CacheStats
-	// current is the phase that has started but not yet ended; a run that
-	// stops early reports it as the interrupted phase of its Completeness.
+	// current is the phase that has started but not yet ended, and stopped
+	// the last phase that ended with an error (cancellation, deadline). A
+	// run that stops early reports one of them — current when it panicked
+	// mid-phase — as the interrupted phase of its Completeness.
 	current string
+	stopped string
 }
 
 func newRecorder(user Observer) *recorder {
@@ -147,7 +151,7 @@ func (r *recorder) finish(res *Result) {
 // completeness snapshots how far the run got: the phases that completed and
 // the one it stopped inside, if any.
 func (r *recorder) completeness() *Completeness {
-	c := &Completeness{InterruptedPhase: r.current}
+	c := &Completeness{InterruptedPhase: cmp.Or(r.current, r.stopped)}
 	for _, p := range r.phases {
 		c.CompletedPhases = append(c.CompletedPhases, p.Name)
 	}
@@ -164,6 +168,9 @@ func timePhase(ctx context.Context, obs Observer, name string, fn func() error) 
 	obs.PhaseStart(name)
 	start := time.Now()
 	err := fn()
+	if r, ok := obs.(*recorder); ok && err != nil {
+		r.stopped = name
+	}
 	obs.PhaseEnd(name, time.Since(start))
 	return err
 }

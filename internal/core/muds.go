@@ -81,7 +81,7 @@ func (o Options) NewProvider(rel *relation.Relation) *pli.Provider {
 
 // Muds runs the full holistic MUDS algorithm (paper Sec. 5) on a loaded
 // relation: SPIDER while reading (shared I/O), DUCC on the shared PLIs, and
-// the three-phase UCC-first FD discovery with inter-task pruning.
+// UCC-first FD discovery with the inter-task pruning rules of Sec. 4.
 func Muds(rel *relation.Relation, opts Options) *Result {
 	res, _ := MudsContext(context.Background(), rel, opts, nil)
 	return res
@@ -154,7 +154,7 @@ func mudsProfile(ctx context.Context, rel *relation.Relation, opts Options, obs 
 		m := newMudsFD(p, working, res.UCCs, store, opts.Seed)
 		m.ctx = ctx
 		m.workers = workers
-		err = mudsFDPhases(ctx, m, store, obs)
+		err = mudsFDPhases(ctx, m, obs)
 		obs.Checks(m.checks)
 	}
 
@@ -162,55 +162,20 @@ func mudsProfile(ctx context.Context, rel *relation.Relation, opts Options, obs 
 	return res, err
 }
 
-// mudsFDPhases runs the three FD phases of MUDS (paper Sec. 5) plus the
-// completion sweep, stopping at the first phase that reports cancellation.
-func mudsFDPhases(ctx context.Context, m *mudsFD, store *fd.Store, obs Observer) error {
-	// minimizeFDs and the shadowed-FD fixpoint work off shared task queues
-	// whose tasks prune each other (processed/shadowSeen dedup maps, emitted
-	// FDs feeding connector look-ups), so they stay sequential; the per-RHS
-	// walks of calculateRZ and the completion sweep are independent and fan
-	// out across the worker pool.
-	err := timePhase(ctx, obs, PhaseMinimizeFDs, m.run(func() {
-		obs.Parallelism(PhaseMinimizeFDs, 1)
-		m.minimizeFDs()
-	}))
-	if err != nil {
-		return err
-	}
-	err = timePhase(ctx, obs, PhaseCalculateRZ, m.run(func() {
+// mudsFDPhases runs the FD part of MUDS: the R\Z walks, then the
+// certificate-seeded walks over Z (completion sweep), stopping at the first
+// phase that reports cancellation. Both phases fan their independent per-RHS
+// walks out across the worker pool. The paper's minimizeFDs and shadowed-FD
+// phases are not run: the two walk phases alone return the complete minimal
+// cover (DESIGN.md, deviation 2).
+func mudsFDPhases(ctx context.Context, m *mudsFD, obs Observer) error {
+	err := timePhase(ctx, obs, PhaseCalculateRZ, m.run(func() {
 		obs.Parallelism(PhaseCalculateRZ, m.workerCount())
 		m.calculateRZ()
 	}))
 	if err != nil {
 		return err
 	}
-
-	// Shadowed-FD fixpoint: generate + minimise until no new FD appears
-	// (see shadowed.go for why a single pass is not enough).
-	for {
-		var tasks []shadowTask
-		err := timePhase(ctx, obs, PhaseGenerateShadowed, func() error {
-			obs.Parallelism(PhaseGenerateShadowed, 1)
-			tasks = m.generateShadowedTasks()
-			return m.ctx.Err()
-		})
-		if err != nil {
-			return err
-		}
-		before := store.Count()
-		err = timePhase(ctx, obs, PhaseMinimizeShadowed, m.run(func() {
-			obs.Parallelism(PhaseMinimizeShadowed, 1)
-			m.minimizeShadowed(tasks)
-		}))
-		if err != nil {
-			return err
-		}
-		if store.Count() == before {
-			break
-		}
-	}
-
-	// Guarantee the complete minimal cover (see sweep.go).
 	return timePhase(ctx, obs, PhaseCompletionSweep, m.run(func() {
 		obs.Parallelism(PhaseCompletionSweep, m.workerCount())
 		m.completionSweep()

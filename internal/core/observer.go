@@ -19,8 +19,7 @@ import (
 //
 // Embed NopObserver to implement only the events of interest.
 type Observer interface {
-	// PhaseStart fires when the named phase begins. Fixpoint phases (the
-	// shadowed-FD rounds of MUDS) start and end once per round.
+	// PhaseStart fires when the named phase begins.
 	PhaseStart(name string)
 	// PhaseEnd fires when the named phase ends, with its wall time.
 	PhaseEnd(name string, d time.Duration)
@@ -33,8 +32,8 @@ type Observer interface {
 	CacheStats(stats pli.CacheStats)
 	// Parallelism reports the worker count a phase runs with, once per
 	// phase, right after the phase starts. Inherently sequential phases
-	// (the DUCC random walk, the shadowed-FD fixpoint) report 1, so the
-	// event stream documents exactly which parts of a run fan out.
+	// (the DUCC random walk) report 1, so the event stream documents
+	// exactly which parts of a run fan out.
 	Parallelism(phase string, workers int)
 }
 

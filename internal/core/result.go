@@ -76,7 +76,7 @@ func (r *Result) Total() time.Duration {
 }
 
 // PhaseDuration returns the duration of the named phase (0 if absent).
-// Repeated phases (fixpoint rounds) are summed.
+// Repeated phases are summed.
 func (r *Result) PhaseDuration(name string) time.Duration {
 	var t time.Duration
 	for _, p := range r.Phases {
@@ -87,7 +87,12 @@ func (r *Result) PhaseDuration(name string) time.Duration {
 	return t
 }
 
-// Canonical MUDS phase names (Figure 8 of the paper).
+// Canonical MUDS phase names (Figure 8 of the paper). A MUDS run emits
+// SPIDER, DUCC, calculateRZ and completionSweep. PhaseMinimizeFDs,
+// PhaseGenerateShadowed and PhaseMinimizeShadowed name the paper's
+// Algorithms 1, 2 and 4, which MUDS does not run (DESIGN.md, deviation 2):
+// they are never emitted, and stay defined for consumers keyed on them
+// (trace and benchmark reports).
 const (
 	PhaseSpider           = "SPIDER"
 	PhaseDucc             = "DUCC"

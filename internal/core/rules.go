@@ -12,12 +12,11 @@ import (
 
 // mudsFD is the state of MUDS' FD discovery part (paper Sec. 5): the shared
 // PLI provider handed over from DUCC, the minimal UCCs organised in a prefix
-// tree for connector look-ups and subset pruning (Sec. 5.4), and the FD
-// result store with per-rhs minimal-lhs families.
+// tree for the pruning rules of Sec. 4, and the FD result store with per-rhs
+// minimal-lhs families.
 type mudsFD struct {
-	// ctx governs cancellation: every task-queue loop of the FD phases polls
-	// it (via aborted) and drains early when it is done, so a deadline stops
-	// the run at the granularity of one minimisation task.
+	// ctx governs cancellation: the per-RHS walks poll it and stop early
+	// when it is done.
 	ctx     context.Context
 	p       *pli.Provider
 	working bitset.Set // non-constant columns
@@ -25,41 +24,23 @@ type mudsFD struct {
 	z       bitset.Set // union of all minimal UCCs (Sec. 4)
 	store   *fd.Store
 	perRHS  map[int]*settrie.MinimalFamily
-	// falseRHS collects, per right-hand side, the left-hand sides proven
-	// NOT to determine it (maximal certificates). Every failed data check
-	// in any phase lands here and prunes later checks: by Lemma 4 a subset
-	// of a failed left-hand side fails too. The completion sweep seeds its
-	// walks from these families, so boundary work is never repeated.
-	falseRHS map[int]*settrie.MaximalFamily
-	checks   int
-	seed     int64
+	checks  int
+	seed    int64
 
-	// shadowSeen dedups generated shadow candidates and shadowProcessed
-	// dedups minimisation work across the fixpoint rounds of the shadowed
-	// phase (lhs → rhs attributes already handled).
-	shadowSeen      map[bitset.Set]bitset.Set
-	shadowProcessed map[bitset.Set]bitset.Set
-	removeUCCCache  map[bitset.Set][]bitset.Set
-
-	// workers bounds the worker pool of the per-RHS walk phases
-	// (calculateRZ, completionSweep); <= 0 selects GOMAXPROCS. The task
-	// queues of the other phases stay sequential regardless.
+	// workers bounds the worker pool of the per-RHS walks; <= 0 selects
+	// GOMAXPROCS.
 	workers int
 }
 
 func newMudsFD(p *pli.Provider, working bitset.Set, minimalUCCs []bitset.Set, store *fd.Store, seed int64) *mudsFD {
 	m := &mudsFD{
-		ctx:             context.Background(),
-		p:               p,
-		working:         working,
-		uccs:            &settrie.MinimalFamily{},
-		store:           store,
-		perRHS:          make(map[int]*settrie.MinimalFamily),
-		falseRHS:        make(map[int]*settrie.MaximalFamily),
-		seed:            seed,
-		shadowSeen:      make(map[bitset.Set]bitset.Set),
-		shadowProcessed: make(map[bitset.Set]bitset.Set),
-		removeUCCCache:  make(map[bitset.Set][]bitset.Set),
+		ctx:     context.Background(),
+		p:       p,
+		working: working,
+		uccs:    &settrie.MinimalFamily{},
+		store:   store,
+		perRHS:  make(map[int]*settrie.MinimalFamily),
+		seed:    seed,
 	}
 	for _, u := range minimalUCCs {
 		m.uccs.Add(u)
@@ -67,10 +48,6 @@ func newMudsFD(p *pli.Provider, working bitset.Set, minimalUCCs []bitset.Set, st
 	}
 	return m
 }
-
-// aborted reports whether the run's context is done; the FD-phase loops poll
-// it between tasks and drain early when it is.
-func (m *mudsFD) aborted() bool { return m.ctx.Err() != nil }
 
 // workerCount resolves the effective pool width for the walk phases.
 func (m *mudsFD) workerCount() int { return parallel.Workers(m.workers) }
@@ -110,102 +87,20 @@ func (m *mudsFD) emit(lhs bitset.Set, a int) {
 	m.store.Add(lhs, a)
 }
 
-// knownValid reports whether lhs → a follows from already-emitted FDs.
-func (m *mudsFD) knownValid(lhs bitset.Set, a int) bool {
-	f, ok := m.perRHS[a]
-	return ok && f.CoversSubsetOf(lhs)
-}
-
-// falseFamily returns the certified-non-FD family for right-hand side a.
-func (m *mudsFD) falseFamily(a int) *settrie.MaximalFamily {
-	f, ok := m.falseRHS[a]
-	if !ok {
-		f = &settrie.MaximalFamily{}
-		m.falseRHS[a] = f
-	}
-	return f
-}
-
-// knownInvalid reports whether lhs → a is refuted by a recorded failure:
-// lhs ⊆ X with X ↛ a implies lhs ↛ a (Lemma 4).
-func (m *mudsFD) knownInvalid(lhs bitset.Set, a int) bool {
-	f, ok := m.falseRHS[a]
-	return ok && f.CoversSupersetOf(lhs)
-}
-
-// resolveFD decides lhs → a, consulting certificates before touching PLIs.
-func (m *mudsFD) resolveFD(lhs bitset.Set, a int) bool {
-	if lhs.Has(a) {
-		return true
-	}
-	if m.knownValid(lhs, a) {
-		return true
-	}
-	if m.knownInvalid(lhs, a) {
-		return false
-	}
-	m.checks++
-	// Non-materializing fast path: the provider folds lhs's missing columns
-	// over the cheapest cached ancestor instead of building lhs's PLI.
-	if m.p.CheckFD(lhs, a) {
-		return true
-	}
-	m.falseFamily(a).Add(lhs)
-	return false
-}
-
-// checkFDs validates lhs → a for every a ∈ rhs in one pass over lhs's PLI
-// (skipping attributes already implied by emitted FDs) and returns the valid
-// subset.
-func (m *mudsFD) checkFDs(lhs bitset.Set, rhs bitset.Set) bitset.Set {
-	valid := bitset.Set{}
-	todo := bitset.Set{}
-	for a := rhs.First(); a >= 0; a = rhs.NextAfter(a) {
-		switch {
-		case lhs.Has(a):
-			valid = valid.With(a)
-		case m.knownValid(lhs, a):
-			valid = valid.With(a)
-		case m.knownInvalid(lhs, a):
-			// refuted by a recorded failure; skip the data check
-		default:
-			todo = todo.With(a)
-		}
-	}
-	if !todo.IsEmpty() {
-		m.checks += todo.Len()
-		checked := m.p.CheckFDs(lhs, todo)
-		valid = valid.Union(checked)
-		failed := todo.Diff(checked)
-		for a := failed.First(); a >= 0; a = failed.NextAfter(a) {
-			m.falseFamily(a).Add(lhs)
-		}
-	}
-	return valid
-}
-
 // connectorLookup implements the look-up of paper Sec. 5.1 (Table 2): the
 // union of all minimal UCCs that are supersets of the connector, minus the
 // connector itself. The resulting columns are the right-hand-side candidates
 // reachable from left-hand sides that connect to the given connector.
+//
+// Algorithm 1, which this look-up drives, is not part of the FD pipeline
+// (the per-RHS walks find the same FDs, see DESIGN.md); the look-up is kept
+// as the executable form of the paper's Table 2.
 func (m *mudsFD) connectorLookup(connector bitset.Set) bitset.Set {
 	var union bitset.Set
 	for _, u := range m.uccs.SupersetsOf(connector) {
 		union = union.Union(u)
 	}
 	return union.Diff(connector)
-}
-
-// impossibleColumns implements pruning rule 1 of paper Sec. 4: an FD cannot
-// exist if it is fully contained in a minimal UCC. For a left-hand side lhs
-// the impossible right-hand sides are the columns a with lhs ∪ {a} inside
-// some minimal UCC, i.e. the union of the minimal UCCs containing lhs.
-func (m *mudsFD) impossibleColumns(lhs bitset.Set) bitset.Set {
-	var union bitset.Set
-	for _, u := range m.uccs.SupersetsOf(lhs) {
-		union = union.Union(u)
-	}
-	return union.Diff(lhs)
 }
 
 // rzColumns returns R \ Z: the working columns in no minimal UCC. By pruning

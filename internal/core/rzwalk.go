@@ -27,14 +27,25 @@ import (
 // preserves closures, so predicate values — and with them the seed-driven
 // walk — do not depend on which FDs other walks have already found.
 
-// calculateRZ discovers all minimal FDs with right-hand side in R \ Z.
+// calculateRZ discovers all minimal FDs with right-hand side in R \ Z. The
+// walks start without certificates.
 func (m *mudsFD) calculateRZ() {
-	rz := m.rzColumns().Columns()
-	walks := make([]walkOutcome, len(rz))
-	parallel.For(m.ctx, m.workerCount(), len(rz), func(i int) {
-		walks[i] = m.walkRHS(rz[i], nil, nil)
+	m.walkEach(m.rzColumns().Columns(), nil)
+}
+
+// walkEach runs one sub-lattice walk per right-hand side in cols across the
+// worker pool, seeding walk i with knownFalse[i] (knownFalse may be nil),
+// and applies the outcomes in RHS order once the pool drains.
+func (m *mudsFD) walkEach(cols []int, knownFalse [][]bitset.Set) {
+	walks := make([]walkOutcome, len(cols))
+	parallel.For(m.ctx, m.workerCount(), len(cols), func(i int) {
+		var seeds []bitset.Set
+		if knownFalse != nil {
+			seeds = knownFalse[i]
+		}
+		walks[i] = m.walkRHS(cols[i], seeds)
 	})
-	for i, a := range rz {
+	for i, a := range cols {
 		m.applyWalk(a, walks[i])
 	}
 }
@@ -48,11 +59,11 @@ type walkOutcome struct {
 }
 
 // walkRHS runs the sub-lattice walk for one right-hand side and returns the
-// minimal left-hand sides found. knownTrue/knownFalse seed the walk with
-// certificates (used by the completion sweep; nil for the plain R\Z phase).
-// It only reads shared state, so walks of distinct right-hand sides may run
+// minimal left-hand sides found. knownFalse seeds the walk with certified
+// non-FDs (used by the completion sweep; nil for the plain R\Z phase). It
+// only reads shared state, so walks of distinct right-hand sides may run
 // concurrently.
-func (m *mudsFD) walkRHS(a int, knownTrue, knownFalse []bitset.Set) walkOutcome {
+func (m *mudsFD) walkRHS(a int, knownFalse []bitset.Set) walkOutcome {
 	base := m.working.Without(a)
 	pred := func(s bitset.Set) bool {
 		// Known-FD pruning (paper Sec. 5.2): drop attributes of s that are
@@ -63,7 +74,6 @@ func (m *mudsFD) walkRHS(a int, knownTrue, knownFalse []bitset.Set) walkOutcome 
 	}
 	res, err := walker.RunContext(m.ctx, base, pred, walker.Options{
 		Seed:       m.seed + int64(a)*7919,
-		KnownTrue:  knownTrue,
 		KnownFalse: knownFalse,
 	})
 	out := walkOutcome{checks: res.Checks, err: err}

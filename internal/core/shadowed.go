@@ -5,127 +5,17 @@ import (
 	"holistic/internal/settrie"
 )
 
-// This file implements the third FD phase of MUDS (paper Secs. 4.3 and 5.3):
-// shadowed FDs. Left-hand sides that mix columns of several minimal UCCs (or
-// of R \ Z) are never proposed by the connector look-up; they are recovered
-// by extending the left-hand sides of already-discovered FDs with the
-// attributes their sub-connectors determine (Algorithm 2), stripping
-// UCC-contained parts (Algorithm 3), and minimising the resulting candidates
-// top-down (Algorithm 4).
-//
-// The paper runs one generation pass; we iterate generation + minimisation
-// until no new FD appears, because freshly minimised FDs can expose further
-// shadowed left-hand sides. The fixpoint is a strict superset of the single
-// pass and is required for completeness (verified against a brute-force
-// oracle by the property tests).
-
-// shadowTask is one (left-hand side, right-hand sides) minimisation task.
-type shadowTask struct {
-	lhs bitset.Set
-	rhs bitset.Set
-}
-
-// generateShadowedTasks implements Algorithm 2: derive candidate shadowed
-// left-hand sides from every known FD and validate them immediately ("each
-// task immediately checks if the FD holds", Sec. 6.4). Only tasks with at
-// least one validated right-hand side survive.
-func (m *mudsFD) generateShadowedTasks() []shadowTask {
-	merged := make(map[bitset.Set]bitset.Set) // candidate lhs → rhs attrs to minimise
-
-	// Algorithm 2 iterates over all subsets of every left-hand side and looks
-	// up FDs[connector]; only connectors that are themselves stored left-hand
-	// sides contribute shadowed attributes, so the subset enumeration is
-	// served by a prefix tree over the stored left-hand sides (Sec. 5.4) —
-	// same semantics, without enumerating 2^|lhs| empty look-ups.
-	var lhsTrie settrie.Trie
-	for _, lhs := range m.store.LHSs() {
-		lhsTrie.Add(lhs)
-	}
-
-	// Distinct extended left-hand sides with the union of their target
-	// right-hand sides: many (FD, connector) pairs produce the same newLhs,
-	// so the expensive UCC-stripping runs once per distinct set.
-	targets := make(map[bitset.Set]bitset.Set)
-	m.store.ForEach(func(flhs, frhs bitset.Set) bool {
-		if m.aborted() {
-			return false
-		}
-		if flhs.IsEmpty() {
-			return true // constant columns shadow nothing
-		}
-		for _, connector := range lhsTrie.SubsetsOf(flhs) {
-			shadowedRhs := m.store.RHS(connector)
-			// Constant columns never belong to a minimal left-hand side.
-			newLhs := flhs.Union(shadowedRhs).Intersect(m.working)
-			if newLhs == flhs {
-				continue // nothing shadowed; flhs is already minimised
-			}
-			targets[newLhs] = targets[newLhs].Union(frhs)
-		}
-		return true
-	})
-	newLhss := make([]bitset.Set, 0, len(targets))
-	for lhs := range targets {
-		newLhss = append(newLhss, lhs)
-	}
-	bitset.Sort(newLhss)
-	for _, newLhs := range newLhss {
-		if m.aborted() {
-			return nil
-		}
-		frhs := targets[newLhs]
-		for _, reduced := range m.removeUCCsCached(newLhs) {
-			for a := frhs.First(); a >= 0; a = frhs.NextAfter(a) {
-				lhs := reduced.Without(a)
-				if lhs.IsEmpty() {
-					continue
-				}
-				merged[lhs] = merged[lhs].With(a)
-			}
-		}
-	}
-
-	var tasks []shadowTask
-	lhss := make([]bitset.Set, 0, len(merged))
-	for lhs := range merged {
-		lhss = append(lhss, lhs)
-	}
-	bitset.Sort(lhss)
-	for _, lhs := range lhss {
-		if m.aborted() {
-			return tasks
-		}
-		rhs := merged[lhs].Diff(lhs).Diff(m.shadowSeen[lhs])
-		if rhs.IsEmpty() {
-			continue // candidate already generated in an earlier round
-		}
-		m.shadowSeen[lhs] = m.shadowSeen[lhs].Union(rhs)
-		valid := m.checkFDs(lhs, rhs)
-		if !valid.IsEmpty() {
-			tasks = append(tasks, shadowTask{lhs: lhs, rhs: valid})
-		}
-	}
-	return tasks
-}
+// This file keeps Algorithm 3 of the paper (Sec. 5.3): stripping minimal
+// UCCs out of a candidate left-hand side. The shadowed-FD phase it served
+// (Algorithms 2 and 4) is not part of the FD pipeline — the per-RHS walks
+// find the same FDs, see DESIGN.md — so removeUCCs is the executable form of
+// the paper's algorithm, exercised by the unit tests.
 
 // removeUCCBranchLimit bounds the branch-and-strip enumeration of
-// Algorithm 3. Left-hand sides of shadow candidates can contain hundreds of
-// minimal UCCs on key-dense datasets, making the exact enumeration
-// exponential; the shadowed phase only *seeds* the completion sweep, so a
-// bounded (deterministic) enumeration sacrifices no correctness.
+// Algorithm 3. Left-hand sides can contain hundreds of minimal UCCs on
+// key-dense datasets, making the exact enumeration exponential; the bound
+// keeps it deterministic and cheap.
 const removeUCCBranchLimit = 2048
-
-// removeUCCsCached memoises removeUCCs per left-hand side; the minimal UCCs
-// never change during the FD part, so cached results stay valid across the
-// fixpoint rounds.
-func (m *mudsFD) removeUCCsCached(lhs bitset.Set) []bitset.Set {
-	if cached, ok := m.removeUCCCache[lhs]; ok {
-		return cached
-	}
-	out := m.removeUCCs(lhs)
-	m.removeUCCCache[lhs] = out
-	return out
-}
 
 // removeUCCs implements Algorithm 3: split a left-hand side into the maximal
 // reduced left-hand sides that contain no complete minimal UCC (a left-hand
@@ -165,36 +55,4 @@ func (m *mudsFD) removeUCCs(lhs bitset.Set) []bitset.Set {
 	out := acc.All()
 	bitset.Sort(out)
 	return out
-}
-
-// minimizeShadowed implements Algorithm 4: top-down minimisation of the
-// validated shadow tasks. Every direct subset is checked for every pending
-// right-hand side, so the emitted FDs are verified minimal by construction.
-func (m *mudsFD) minimizeShadowed(tasks []shadowTask) {
-	queue := tasks
-	for len(queue) > 0 {
-		if m.aborted() {
-			return
-		}
-		t := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-
-		newRhs := t.rhs.Diff(m.shadowProcessed[t.lhs])
-		if newRhs.IsEmpty() {
-			continue
-		}
-		m.shadowProcessed[t.lhs] = m.shadowProcessed[t.lhs].Union(newRhs)
-
-		currentRhs := newRhs
-		for _, s := range directNonEmptySubsets(t.lhs) {
-			valid := m.checkFDs(s, newRhs)
-			currentRhs = currentRhs.Diff(valid)
-			if !valid.IsEmpty() {
-				queue = append(queue, shadowTask{lhs: s, rhs: valid})
-			}
-		}
-		for a := currentRhs.First(); a >= 0; a = currentRhs.NextAfter(a) {
-			m.emit(t.lhs, a)
-		}
-	}
 }

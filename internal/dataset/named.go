@@ -16,7 +16,8 @@ import (
 // for the row-scalability experiment (Fig. 6): a unique accession column,
 // a block of low-cardinality biological attributes, and derived annotation
 // columns that plant FDs with overlapping left-hand sides — the structure
-// that makes the shadowed-FD phase expensive and scales linearly with rows.
+// behind the paper's expensive shadowed-FD phase; work scales linearly with
+// rows.
 func Uniprot(rows int) *relation.Relation { return UniprotSeeded(rows, 0) }
 
 // UniprotSeeded is Uniprot with a generator-seed override; 0 keeps the
@@ -110,7 +111,7 @@ func dedupInts(in []int) []int {
 // experiment (Fig. 8, 10k rows × 20 columns): paired code/description
 // columns (mutual FDs), address hierarchies (zip → city → state) and
 // moderate-cardinality person fields. The many overlapping small FDs make
-// the shadowed-FD phases dominate, as in the paper.
+// MUDS's FD part dominate the run, as in the paper.
 func NCVoter(rows, cols int) *relation.Relation { return NCVoterSeeded(rows, cols, 0) }
 
 // NCVoterSeeded is NCVoter with a generator-seed override (0 = canonical).

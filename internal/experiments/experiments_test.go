@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -73,12 +74,24 @@ func TestFig8SmallScale(t *testing.T) {
 	if len(res.FDs) == 0 {
 		t.Error("no FDs found")
 	}
-	// The Figure 8 phases must all be present in the output.
-	for _, name := range []string{core.PhaseSpider, core.PhaseDucc, core.PhaseMinimizeFDs,
-		core.PhaseCalculateRZ, core.PhaseGenerateShadowed, core.PhaseMinimizeShadowed,
-		core.PhaseCompletionSweep} {
+	// MUDS runs exactly these phases, in this order, and the output lists
+	// them. The paper's Algorithms 1, 2 and 4 are not run.
+	want := []string{core.PhaseSpider, core.PhaseDucc, core.PhaseCalculateRZ, core.PhaseCompletionSweep}
+	var got []string
+	for _, p := range res.Phases {
+		got = append(got, p.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("phases = %v, want %v", got, want)
+	}
+	for _, name := range want {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("phase %s missing from output", name)
+		}
+	}
+	for _, name := range []string{core.PhaseMinimizeFDs, core.PhaseGenerateShadowed, core.PhaseMinimizeShadowed} {
+		if strings.Contains(buf.String(), name) {
+			t.Errorf("retired phase %s in output", name)
 		}
 	}
 }

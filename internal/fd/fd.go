@@ -9,8 +9,9 @@
 package fd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"holistic/internal/bitset"
 	"holistic/internal/pli"
@@ -34,16 +35,20 @@ func (f FD) String() string {
 
 // Sort orders FDs by (LHS, RHS) for deterministic output and comparisons.
 func Sort(fds []FD) {
-	sort.Slice(fds, func(i, j int) bool {
-		if fds[i].LHS != fds[j].LHS {
-			return bitset.Less(fds[i].LHS, fds[j].LHS)
+	slices.SortFunc(fds, func(x, y FD) int {
+		switch {
+		case x.LHS == y.LHS:
+			return cmp.Compare(x.RHS, y.RHS)
+		case bitset.Less(x.LHS, y.LHS):
+			return -1
+		default:
+			return 1
 		}
-		return fds[i].RHS < fds[j].RHS
 	})
 }
 
 // Store collects FDs grouped by left-hand side, the map(lhs → rhs-set)
-// representation used by MUDS' algorithms (paper Algorithm 1/2).
+// representation of the paper's MUDS pseudocode.
 type Store struct {
 	byLHS map[bitset.Set]bitset.Set
 	count int
@@ -72,10 +77,6 @@ func (s *Store) Add(lhs bitset.Set, rhs int) {
 func (s *Store) AddAll(lhs bitset.Set, rhs bitset.Set) {
 	rhs.ForEach(func(a int) { s.Add(lhs, a) })
 }
-
-// RHS returns the right-hand sides recorded for lhs (the "FDs[lhs]" look-up
-// of Algorithm 2).
-func (s *Store) RHS(lhs bitset.Set) bitset.Set { return s.byLHS[lhs] }
 
 // Remove deletes lhs → rhs if present and reports whether it was stored.
 func (s *Store) Remove(lhs bitset.Set, rhs int) bool {

@@ -40,11 +40,16 @@ func TestStoreBasics(t *testing.T) {
 	if s.Count() != 4 {
 		t.Errorf("Count = %d, want 4", s.Count())
 	}
-	if got := s.RHS(lhs); got != bitset.New(2, 3) {
+	rhsOf := make(map[bitset.Set]bitset.Set)
+	s.ForEach(func(lhs, rhs bitset.Set) bool {
+		rhsOf[lhs] = rhs
+		return true
+	})
+	if got := rhsOf[lhs]; got != bitset.New(2, 3) {
 		t.Errorf("RHS = %v", got)
 	}
-	if got := s.RHS(bitset.FromLetters("Z")); !got.IsEmpty() {
-		t.Errorf("missing lhs should have empty rhs, got %v", got)
+	if len(rhsOf) != 2 {
+		t.Errorf("ForEach visited %d left-hand sides, want 2", len(rhsOf))
 	}
 	all := s.All()
 	if len(all) != 4 {

@@ -166,15 +166,13 @@ func TestAppendRowsRebuildFallback(t *testing.T) {
 // contents.
 func TestProviderRefresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, cacheKind := range []string{"map", "sync", "sharded"} {
+	for _, cacheKind := range []string{"map", "sharded"} {
 		t.Run(cacheKind, func(t *testing.T) {
 			rel := appendTestRelation(t, rng, 80, 4, 4)
 			var cache Cache
 			switch cacheKind {
 			case "map":
 				cache = NewMapCache(0)
-			case "sync":
-				cache = NewSyncCache(nil)
 			default:
 				cache = NewShardedCache(4, 0)
 			}

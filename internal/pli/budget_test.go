@@ -151,14 +151,3 @@ func TestShardedCacheBudgetSplit(t *testing.T) {
 		t.Error("no evictions despite overflowing the byte budget")
 	}
 }
-
-// TestSyncCacheBytesDelegates checks the locking wrapper forwards the byte
-// ledger of its inner cache.
-func TestSyncCacheBytesDelegates(t *testing.T) {
-	inner := NewMapCacheBudget(16, 1<<20)
-	c := NewSyncCache(inner)
-	c.Put(bitset.New(0, 1), FromAllRows(10))
-	if got := c.Bytes(); got != inner.Bytes() || got != 144 {
-		t.Errorf("SyncCache.Bytes() = %d, want 144", got)
-	}
-}

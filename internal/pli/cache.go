@@ -86,8 +86,8 @@ type CacheStats struct {
 // bounds the approximate heap held by the cached PLIs: stores that would
 // exceed it shed other entries first, and a PLI larger than the whole budget
 // is never cached at all — the Provider then recomputes it on demand, trading
-// time for bounded memory. It is not safe for concurrent use; wrap it in a
-// SyncCache to share a Provider across goroutines.
+// time for bounded memory. It is not safe for concurrent use; a Provider
+// shared across goroutines uses a ShardedCache instead.
 type MapCache struct {
 	entries    map[bitset.Set]cacheEntry
 	maxEntries int
@@ -212,66 +212,6 @@ func (c *MapCache) ForEach(fn func(s bitset.Set, pli *PLI) bool) {
 			return
 		}
 	}
-}
-
-// SyncCache wraps another Cache with a mutex, making it safe for concurrent
-// use. It is the concurrency-safe variant that slots into a Provider via
-// NewProviderWithCache without touching any caller.
-type SyncCache struct {
-	mu    sync.Mutex
-	inner Cache
-}
-
-// NewSyncCache wraps inner in a SyncCache. inner == nil wraps a fresh
-// default-sized MapCache.
-func NewSyncCache(inner Cache) *SyncCache {
-	if inner == nil {
-		inner = NewMapCache(0)
-	}
-	return &SyncCache{inner: inner}
-}
-
-// Get implements Cache.
-func (c *SyncCache) Get(s bitset.Set) (*PLI, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inner.Get(s)
-}
-
-// Put implements Cache.
-func (c *SyncCache) Put(s bitset.Set, pli *PLI) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inner.Put(s, pli)
-}
-
-// Len implements Cache.
-func (c *SyncCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inner.Len()
-}
-
-// Bytes implements Cache.
-func (c *SyncCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inner.Bytes()
-}
-
-// Counters implements Cache.
-func (c *SyncCache) Counters() (hits, misses, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inner.Counters()
-}
-
-// ForEach implements Cache. The mutex is held for the whole walk, so fn must
-// not call back into the cache.
-func (c *SyncCache) ForEach(fn func(s bitset.Set, pli *PLI) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inner.ForEach(fn)
 }
 
 // ShardedCache spreads entries over a power-of-two number of independently

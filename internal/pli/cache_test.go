@@ -99,38 +99,6 @@ func TestProviderWithNilCache(t *testing.T) {
 	}
 }
 
-// TestSyncCacheConcurrent hammers a SyncCache from several goroutines; run
-// under -race this proves the wrapper makes any inner Cache shareable.
-func TestSyncCacheConcurrent(t *testing.T) {
-	c := NewSyncCache(NewMapCache(16))
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s := bitset.New(i%6, i%6+1+g%3)
-				if _, ok := c.Get(s); !ok {
-					c.Put(s, FromAllRows(2))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	hits, misses, _ := c.Counters()
-	if hits+misses != 8*200 {
-		t.Fatalf("probes = %d, want %d", hits+misses, 8*200)
-	}
-}
-
-func TestSyncCacheNilInner(t *testing.T) {
-	c := NewSyncCache(nil)
-	c.Put(bitset.New(0, 1), FromAllRows(2))
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-}
-
 func TestShardedCachePowerOfTwoShards(t *testing.T) {
 	for want, counts := range map[int][]int{
 		1: {1}, 2: {2}, 4: {3, 4}, 8: {5, 6, 7, 8}, 16: {9, 15, 16},

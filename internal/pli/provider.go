@@ -22,7 +22,7 @@ import (
 //
 // The multi-column store behind Get is a pluggable Cache (see cache.go);
 // NewProvider uses the bounded MapCache, NewProviderWithCache slots in any
-// other policy, including the mutex-guarded SyncCache and the ShardedCache.
+// other policy, such as the concurrency-safe ShardedCache.
 //
 // # Validation fast path
 //
@@ -56,7 +56,7 @@ import (
 // immutable except for the atomic counters and the cache. Get, IsUnique,
 // Cardinality, CheckFD, CheckFDs and ForEachCluster are therefore safe to
 // call from multiple goroutines if and only if the configured Cache is safe
-// for concurrent use (SyncCache, ShardedCache). With the plain MapCache the
+// for concurrent use (ShardedCache). With the plain MapCache the
 // Provider is single-goroutine only. Concurrent Gets of the same uncached
 // combination may duplicate an intersection — both goroutines compute and
 // store the same PLI — which wastes a little work but never produces a wrong

@@ -317,3 +317,38 @@ func TestDatasetList(t *testing.T) {
 		t.Fatalf("dataset list = %+v", views)
 	}
 }
+
+// TestDatasetBatchAfterDone is the client loop of an append stream: poll the
+// batch job until it reports done, then post the next batch at once. A job
+// reported done must already have released its session, so no round may be
+// rejected with 409. The state dir puts the end record's fsync into the
+// transition, where it would widen any window between the two.
+func TestDatasetBatchAfterDone(t *testing.T) {
+	_, _, ts := openTestServer(t, Config{StateDir: t.TempDir()})
+
+	code, d := createDataset(t, ts, fmt.Sprintf(`{"csv": %q}`, testCSV))
+	if code != http.StatusAccepted {
+		t.Fatalf("create dataset: status %d", code)
+	}
+	job := d.JobIDs[len(d.JobIDs)-1]
+	for round := 0; round < 20; round++ {
+		// Poll without pausing, so the batch follows the first "done" read
+		// as closely as a client can manage.
+		v := getJob(t, ts, job)
+		for deadline := time.Now().Add(10 * time.Second); !terminal(v.State) && time.Now().Before(deadline); {
+			v = getJob(t, ts, job)
+		}
+		if v.State != StateDone {
+			t.Fatalf("round %d: job %s is %q: %s", round, job, v.State, v.Error)
+		}
+		code, body := postBatch(t, ts, d.ID, fmt.Sprintf("%d,%d,City%d\n", 100+round, 20000+round, round))
+		if code != http.StatusAccepted {
+			t.Fatalf("round %d: batch posted right after job %s reported done: status %d body %s", round, job, code, body)
+		}
+		var dv DatasetView
+		if err := json.Unmarshal([]byte(body), &dv); err != nil {
+			t.Fatalf("round %d: batch response %q: %v", round, body, err)
+		}
+		job = dv.JobIDs[len(dv.JobIDs)-1]
+	}
+}

@@ -399,6 +399,7 @@ func (s *Server) runJob(j *job) {
 		j.mu.Unlock()
 		s.metrics.jobsDoomedInQueue.Add(1)
 		s.announce(j, StateFailed, msg)
+		s.journalEnd(j, StateFailed, msg)
 		// Neutral for the breaker: the queue, not the dataset, ate the
 		// deadline.
 		if j.hasBreaker {
@@ -524,7 +525,16 @@ func isTransient(err error) bool {
 // run's verdict settles this key's circuit breaker — success closes it,
 // failure or a deadline blowout counts toward (or past) its threshold,
 // cancellation and loss say nothing about the dataset and stay neutral.
+//
+// A dataset job journals its end record and settles its session BEFORE the
+// state is published: a client that reads "done" and at once posts the next
+// batch must find the session free. A plain job publishes first and
+// journals after, keeping the WAL fsync out of the latency its client sees.
 func (s *Server) finish(j *job, state, errMsg string, report *core.Report) {
+	if j.done != nil {
+		s.journalEnd(j, state, errMsg)
+		j.done(state, errMsg)
+	}
 	j.mu.Lock()
 	j.state = state
 	j.err = errMsg
@@ -551,13 +561,14 @@ func (s *Server) finish(j *job, state, errMsg string, report *core.Report) {
 		}
 	}
 	s.announce(j, state, errMsg)
-	if j.done != nil {
-		j.done(state, errMsg)
+	if j.done == nil {
+		s.journalEnd(j, state, errMsg)
 	}
 }
 
 // announce records a terminal transition in the job's event stream and bumps
-// the outcome counter. The state fields must already be set.
+// the outcome counter. The state fields must already be set; the caller
+// journals the end record (journalEnd).
 func (s *Server) announce(j *job, state, errMsg string) {
 	j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: state, Error: errMsg})
 	j.events.close()
@@ -572,9 +583,6 @@ func (s *Server) announce(j *job, state, errMsg string) {
 		s.metrics.jobsCanceled.Add(1)
 	}
 	s.logf("job %s %s%s", j.id, state, suffixIf(errMsg))
-	// The terminal record lands after any checkpoint the job's exec wrote:
-	// a journaled "done" therefore always has its durable state on disk.
-	s.journalEnd(j, state, errMsg)
 }
 
 func suffixIf(msg string) string {
@@ -607,6 +615,7 @@ func (s *Server) cancelIfQueued(j *job, reason string) bool {
 		s.breakers.recordNeutral(j.breakerKey)
 	}
 	s.announce(j, StateCanceled, reason)
+	s.journalEnd(j, StateCanceled, reason)
 	if j.done != nil {
 		j.done(StateCanceled, reason)
 	}

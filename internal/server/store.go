@@ -131,7 +131,9 @@ func (s *Server) journal(rec walRecord) error {
 	return nil
 }
 
-// journalEnd records a job's terminal transition, best-effort.
+// journalEnd records a job's terminal transition, best-effort. The record
+// lands after any checkpoint the job's exec wrote: a journaled "done"
+// therefore always has its durable state on disk.
 func (s *Server) journalEnd(j *job, state, errMsg string) {
 	if s.store == nil || !j.journaled {
 		return

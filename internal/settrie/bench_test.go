@@ -25,8 +25,8 @@ func benchSets(n, cols int, seed int64) []bitset.Set {
 	return out
 }
 
-// BenchmarkSubsetLookup measures the Sec. 5.4 prefix-tree subset query that
-// the shadowed-FD phase performs for every candidate left-hand side.
+// BenchmarkSubsetLookup measures the Sec. 5.4 prefix-tree subset query
+// (the minimal UCCs inside a candidate left-hand side, as in Algorithm 3).
 func BenchmarkSubsetLookup(b *testing.B) {
 	var tr Trie
 	for _, s := range benchSets(2000, 20, 1) {

@@ -1,8 +1,8 @@
 // Package settrie implements a prefix tree over column combinations (paper
 // Sec. 5.4, Fig. 5). Column sets are stored as their sorted column sequences;
 // the trie answers subset and superset queries without scanning all stored
-// sets, which MUDS needs for connector look-ups (supersets of a connector)
-// and shadowed-FD pruning (minimal UCCs inside a left-hand side).
+// sets, which MUDS needs for its pruning rules (the minimal UCCs containing
+// a column) and connector look-ups (supersets of a connector).
 //
 // On top of the plain trie, MinimalFamily and MaximalFamily maintain
 // antichains of minimal respectively maximal sets, the stores used for

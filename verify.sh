@@ -32,6 +32,9 @@ go test -race ./...
 echo "== worker-count equivalence (workers=1 vs N) =="
 go test -race -count=1 -run 'TestWorkerCountEquivalence|TestParallelMudsCancellation' ./internal/core/
 
+echo "== MUDS oracle fuzz smoke (MUDS vs brute-force oracles) =="
+go test -run='^$' -fuzz='^FuzzMudsMatchesOracles$' -fuzztime=10s ./internal/core/
+
 echo "== CSV fuzz smoke =="
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/relation/
 
@@ -67,6 +70,9 @@ go test -race -count=1 -run 'TestRestart' ./internal/server/
 
 echo "== overload-resilience suite (admission, breakers, watermarks, race) =="
 go test -race -count=1 -run 'TestAdaptiveAdmission|TestAdmissionEstimate|TestCoDel|TestIdempoten|TestCircuitBreaker|TestMemWatermark|TestOverload' ./internal/server/
+
+echo "== perfbench self-tests =="
+(cd perfbench && go test ./...)
 
 echo "== profiled service smoke test =="
 ./scripts/smoke_profiled.sh
