@@ -55,7 +55,6 @@ func (m *mudsFD) walkEach(cols []int, knownFalse [][]bitset.Set) {
 type walkOutcome struct {
 	minimal []bitset.Set // verified-minimal left-hand sides (nil on error)
 	checks  int
-	err     error
 }
 
 // walkRHS runs the sub-lattice walk for one right-hand side and returns the
@@ -76,7 +75,7 @@ func (m *mudsFD) walkRHS(a int, knownFalse []bitset.Set) walkOutcome {
 		Seed:       m.seed + int64(a)*7919,
 		KnownFalse: knownFalse,
 	})
-	out := walkOutcome{checks: res.Checks, err: err}
+	out := walkOutcome{checks: res.Checks}
 	if err == nil {
 		out.minimal = res.MinimalTrue
 	}
