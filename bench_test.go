@@ -118,6 +118,22 @@ func BenchmarkFigure8Phases(b *testing.B) {
 	}
 }
 
+// BenchmarkUniformLowCardinality is a regression case, not a paper figure:
+// MUDS on 15 independent uniform columns of 5 values over 12,000 rows. No
+// column combination is a cheap key and nearly every right-hand side has a
+// wide FD antichain, so the per-RHS walks need several hole-filling rounds
+// and the run's CPU is dominated by walker.MinimalHittingSets rather than
+// PLI work.
+func BenchmarkUniformLowCardinality(b *testing.B) {
+	spec := dataset.Spec{Name: "uniform", Rows: 12000, Seed: 42}
+	for c := 0; c < 15; c++ {
+		spec.Columns = append(spec.Columns, dataset.ColumnSpec{
+			Name: fmt.Sprintf("c%d", c), Kind: dataset.Random, Card: 5,
+		})
+	}
+	benchStrategies(b, dataset.Generate(spec), core.StrategyMuds)
+}
+
 // BenchmarkParallelScaling measures the worker-pool speedup of the parallel
 // phases: MUDS on the ncvoter-like dataset at workers=1 versus all CPUs.
 // cmd/experiments -parallel runs the full series (more datasets and worker

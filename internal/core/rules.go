@@ -72,18 +72,11 @@ func (m *mudsFD) lhsFamily(a int) *settrie.MinimalFamily {
 	return f
 }
 
-// emit records the verified-minimal FD lhs → a, deduplicating against
-// earlier emissions. A defensive guard removes any stored superset left
-// behind if a smaller left-hand side arrives late.
+// emit records the verified-minimal FD lhs → a. Each right-hand side is
+// walked exactly once and a walk returns an antichain, so no emission
+// duplicates or subsumes another; an exact repeat would be a no-op anyway.
 func (m *mudsFD) emit(lhs bitset.Set, a int) {
-	fam := m.lhsFamily(a)
-	if fam.CoversSubsetOf(lhs) {
-		return // already stored, or a smaller lhs is known
-	}
-	for _, sup := range fam.SupersetsOf(lhs) {
-		m.store.Remove(sup, a)
-	}
-	fam.Add(lhs)
+	m.lhsFamily(a).Add(lhs)
 	m.store.Add(lhs, a)
 }
 

@@ -38,21 +38,8 @@ func TestEmitDeduplicates(t *testing.T) {
 	if m.store.Count() != 1 {
 		t.Errorf("Count = %d, want 1", m.store.Count())
 	}
-	// A late smaller lhs replaces the stored superset.
-	m.emit(bitset.FromLetters("BC"), 3)
-	m.emit(bitset.FromLetters("C"), 3)
-	if storeHas(m.store, bitset.FromLetters("BC"), 3) {
-		t.Error("superseded FD should be removed from the store")
-	}
-	if !storeHas(m.store, bitset.FromLetters("C"), 3) {
-		t.Error("replacement FD missing")
-	}
-	// A superset arriving after the subset is ignored entirely.
-	m.emit(bitset.FromLetters("CD"), 1)
-	countBefore := m.store.Count()
-	m.emit(bitset.FromLetters("BCD"), 1)
-	if m.store.Count() != countBefore {
-		t.Error("non-minimal late emission should be ignored")
+	if fam := m.lhsFamily(2); fam.Len() != 1 || !fam.Contains(bitset.FromLetters("B")) {
+		t.Errorf("lhs family of C holds %d sets, want exactly {B}", fam.Len())
 	}
 }
 

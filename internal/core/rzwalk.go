@@ -6,26 +6,28 @@ import (
 	"holistic/internal/walker"
 )
 
-// This file implements the second FD phase of MUDS (paper Secs. 4.2 and
-// 5.2): FDs whose right-hand side lies in R \ Z, the columns outside every
-// minimal UCC. For each such right-hand side A one sub-lattice over R \ {A}
-// is traversed with the DUCC-style random walk; "X determines A" is a
-// monotone predicate, so downward pruning of non-FDs (Lemma 4) and upward
-// pruning of supersets of found left-hand sides both apply, and unvisited
-// holes are filled by the hitting-set duality — all provided by the shared
-// lattice walker.
+// This file implements the first of MUDS's two FD phases (paper Secs. 4.2
+// and 5.2), calculateRZ: FDs whose right-hand side lies in R \ Z, the
+// columns outside every minimal UCC. For each such right-hand side A one
+// sub-lattice over R \ {A} is traversed with the DUCC-style random walk; "X
+// determines A" is a monotone predicate, so downward pruning of non-FDs
+// (Lemma 4) and upward pruning of supersets of found left-hand sides both
+// apply, and unvisited holes are filled by the hitting-set duality — all
+// provided by the shared lattice walker. It also holds walkEach, the per-RHS
+// fan-out that calculateRZ and the completion sweep (sweep.go) share.
 //
 // The walks of different right-hand sides are independent: each one reads
 // the shared PLI provider (concurrency-safe when the engine runs with
-// workers > 1), the trusted certificate families built before the fan-out,
-// and the per-RHS FD families — which are only *read* during a walk (via
-// canonicalLHS) and only *written* by the ordered emission pass after the
-// pool drains. Each walk therefore runs as one worker-pool task writing its
-// outcome into an indexed slot; the emissions are applied in right-hand-side
-// order, so the discovered FD set is identical for every worker count. The
-// walk results themselves are scheduling-independent anyway: canonicalLHS
-// preserves closures, so predicate values — and with them the seed-driven
-// walk — do not depend on which FDs other walks have already found.
+// workers > 1), its own false certificates (the sweep's, computed before the
+// fan-out), and the per-RHS FD families — which are only *read* during a
+// walk (via canonicalLHS) and only *written* by the ordered emission pass
+// after the pool drains. Each walk therefore runs as one worker-pool task
+// writing its outcome into an indexed slot; the emissions are applied in
+// right-hand-side order, so the discovered FD set is identical for every
+// worker count. The walk results themselves are scheduling-independent
+// anyway: canonicalLHS preserves closures, so predicate values — and with
+// them the seed-driven walk — do not depend on which FDs other walks have
+// already found.
 
 // calculateRZ discovers all minimal FDs with right-hand side in R \ Z. The
 // walks start without certificates.

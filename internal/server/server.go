@@ -526,13 +526,12 @@ func isTransient(err error) bool {
 // failure or a deadline blowout counts toward (or past) its threshold,
 // cancellation and loss say nothing about the dataset and stay neutral.
 //
-// A dataset job journals its end record and settles its session BEFORE the
+// The end record is journaled and a dataset job's session settled BEFORE the
 // state is published: a client that reads "done" and at once posts the next
-// batch must find the session free. A plain job publishes first and
-// journals after, keeping the WAL fsync out of the latency its client sees.
+// batch must find the session free.
 func (s *Server) finish(j *job, state, errMsg string, report *core.Report) {
+	s.journalEnd(j, state, errMsg)
 	if j.done != nil {
-		s.journalEnd(j, state, errMsg)
 		j.done(state, errMsg)
 	}
 	j.mu.Lock()
@@ -561,9 +560,6 @@ func (s *Server) finish(j *job, state, errMsg string, report *core.Report) {
 		}
 	}
 	s.announce(j, state, errMsg)
-	if j.done == nil {
-		s.journalEnd(j, state, errMsg)
-	}
 }
 
 // announce records a terminal transition in the job's event stream and bumps

@@ -1,5 +1,5 @@
 // Package walker implements the randomized lattice traversal shared by DUCC
-// (paper Sec. 2.2) and by MUDS' R\Z sub-lattice phase (paper Sec. 4.2/5.2).
+// (paper Sec. 2.2) and by MUDS' per-RHS FD walks (paper Sec. 4.2/5.2).
 //
 // Both problems are instances of learning a monotone predicate over the
 // subset lattice of a base column set: uniqueness of a column combination
@@ -293,9 +293,14 @@ func (w *state) fillHoles() bool {
 }
 
 // MinimalHittingSets enumerates the minimal subsets of base that intersect
-// every set of families. Branch-and-prune on the smallest un-hit family set,
-// carrying the still-un-hit families down each branch so no full rescans
-// happen; global minimality is enforced by a MinimalFamily filter.
+// every set of families, with the MMCS branch-and-bound of Murakami and Uno
+// ("Efficient algorithms for dualizing large-scale hypergraphs", 2014): it
+// branches on the columns of an un-hit set with the fewest candidates, and
+// prunes a partial set as soon as one of its columns loses its last critical
+// set (a set hit by that column alone) — such a partial set and all its
+// extensions are non-minimal. Each minimal hitting set is therefore reached
+// exactly once and no non-minimal one is ever completed, so no global
+// minimality filter is needed.
 func MinimalHittingSets(families []bitset.Set, base bitset.Set) []bitset.Set {
 	// Only ⊆-minimal family sets constrain the hitting sets: hitting a set
 	// hits all its supersets. This also catches empty members (nothing can
@@ -307,45 +312,108 @@ func MinimalHittingSets(families []bitset.Set, base bitset.Set) []bitset.Set {
 		}
 		minimal.Add(f.Intersect(base))
 	}
-	constraints := minimal.All()
-	for _, f := range constraints {
+	edges := minimal.All()
+	for _, f := range edges {
 		if f.IsEmpty() {
 			return nil // a family member had no columns inside base
 		}
 	}
-	// Branch on small sets first: fewer alternatives near the root.
-	bitset.Sort(constraints)
-
-	var acc settrie.MinimalFamily
-	// scratch[d] holds the filtered constraint list at recursion depth d;
-	// reusing the buffers keeps the enumeration allocation-free.
-	var scratch [][]bitset.Set
-	var recurse func(depth int, partial bitset.Set, remaining []bitset.Set)
-	recurse = func(depth int, partial bitset.Set, remaining []bitset.Set) {
-		if acc.CoversSubsetOf(partial) {
-			return
-		}
-		if len(remaining) == 0 {
-			acc.Add(partial)
-			return
-		}
-		for depth >= len(scratch) {
-			scratch = append(scratch, nil)
-		}
-		first := remaining[0]
-		first.ForEach(func(c int) {
-			rest := scratch[depth][:0]
-			for _, f := range remaining[1:] {
-				if !f.Has(c) {
-					rest = append(rest, f)
-				}
-			}
-			scratch[depth] = rest
-			recurse(depth+1, partial.With(c), rest)
-		})
+	h := mmcs{edges: edges, hits: make([]int, len(edges)), uncovered: len(edges)}
+	for i, f := range edges {
+		f.ForEach(func(c int) { h.byCol[c] = append(h.byCol[c], i) })
 	}
-	recurse(0, bitset.Set{}, constraints)
-	out := acc.All()
-	bitset.Sort(out)
-	return out
+	h.recurse(base)
+	bitset.Sort(h.out)
+	return h.out
+}
+
+// mmcs is the state of one MinimalHittingSets enumeration. The partial set
+// is extended and shrunk in place; the counters below are updated
+// incrementally by add and remove.
+type mmcs struct {
+	edges     []bitset.Set
+	byCol     [bitset.MaxColumns][]int // indexes of the edges holding each column
+	hits      []int                    // per edge: how many columns of partial hit it
+	crit      [bitset.MaxColumns]int   // per column of partial: edges it alone hits
+	uncovered int                      // edges with hits == 0
+	partial   bitset.Set
+	out       []bitset.Set
+}
+
+// recurse extends partial by the columns of cand. A column left out of cand
+// was already branched on at an ancestor, so it cannot join here.
+func (h *mmcs) recurse(cand bitset.Set) {
+	if h.uncovered == 0 {
+		h.out = append(h.out, h.partial)
+		return
+	}
+	// Branch on the un-hit edge with the fewest candidate columns; one with
+	// none can no longer be hit.
+	var branch bitset.Set
+	best := -1
+	for i, f := range h.edges {
+		if h.hits[i] != 0 {
+			continue
+		}
+		c := f.Intersect(cand)
+		if n := c.Len(); best < 0 || n < best {
+			best, branch = n, c
+			if n == 0 {
+				return
+			}
+		}
+	}
+	// The branch on v finds the hitting sets whose last column in branch
+	// (in branching order) is v: later columns of branch stay excluded.
+	cand = cand.Diff(branch)
+	for v := branch.First(); v >= 0; v = branch.NextAfter(v) {
+		h.add(v)
+		if h.critical() {
+			h.recurse(cand)
+		}
+		h.remove(v)
+		cand = cand.With(v)
+	}
+}
+
+// add puts v into partial: edges v is first to hit become critical for v,
+// and an edge hit so far only by u stops being critical for u.
+func (h *mmcs) add(v int) {
+	for _, i := range h.byCol[v] {
+		switch h.hits[i] {
+		case 0:
+			h.crit[v]++
+			h.uncovered--
+		case 1:
+			h.crit[h.edges[i].Intersect(h.partial).First()]--
+		}
+		h.hits[i]++
+	}
+	h.partial = h.partial.With(v)
+}
+
+// remove undoes add(v).
+func (h *mmcs) remove(v int) {
+	h.partial = h.partial.Without(v)
+	for _, i := range h.byCol[v] {
+		h.hits[i]--
+		switch h.hits[i] {
+		case 0:
+			h.crit[v]--
+			h.uncovered++
+		case 1:
+			h.crit[h.edges[i].Intersect(h.partial).First()]++
+		}
+	}
+}
+
+// critical reports whether every column of partial still hits some edge on
+// its own, i.e. whether partial can extend to a minimal hitting set.
+func (h *mmcs) critical() bool {
+	for u := h.partial.First(); u >= 0; u = h.partial.NextAfter(u) {
+		if h.crit[u] == 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -165,6 +165,54 @@ func TestMinimalHittingSets(t *testing.T) {
 	}
 }
 
+// Property: the hitting-set enumeration agrees with full enumeration of the
+// monotone predicate "hits every family set" on random families, including
+// columns outside base and sets with none inside it.
+func TestQuickMinimalHittingSetsMatchesNaive(t *testing.T) {
+	cfg := &quick.Config{
+		MaxCount: 400,
+		Values: func(vals []reflect.Value, rnd *rand.Rand) {
+			n := 1 + rnd.Intn(9)
+			base := bitset.Full(n)
+			var fams []bitset.Set
+			for i := 0; i < 1+rnd.Intn(12); i++ {
+				var f bitset.Set
+				for c := 0; c <= n; c++ { // column n lies outside base
+					if rnd.Intn(3) == 0 {
+						f = f.With(c)
+					}
+				}
+				if !f.IsEmpty() {
+					fams = append(fams, f)
+				}
+			}
+			if len(fams) == 0 {
+				fams = append(fams, bitset.Single(0))
+			}
+			vals[0] = reflect.ValueOf(base)
+			vals[1] = reflect.ValueOf(fams)
+		},
+	}
+	if err := quick.Check(func(base bitset.Set, fams []bitset.Set) bool {
+		hitsAll := func(s bitset.Set) bool {
+			for _, f := range fams {
+				if !f.Intersects(s) {
+					return false
+				}
+			}
+			return true
+		}
+		want, _ := naive(base, hitsAll)
+		got := MinimalHittingSets(fams, base)
+		if len(want) == 0 {
+			return len(got) == 0
+		}
+		return reflect.DeepEqual(got, want)
+	}, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: the walk agrees with full enumeration for random monotone
 // predicates, random bases and random seeds.
 func TestQuickWalkerMatchesNaive(t *testing.T) {

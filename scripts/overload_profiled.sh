@@ -236,16 +236,16 @@ fi
 echo "phase 1b passed: one job ($dup_ids), journaled once"
 
 echo "== phase 2: circuit breaker on a deadline-blowing dataset =="
-# A genuinely hostile dataset: 15 low-cardinality columns and no cheap keys,
-# so the lattice walk runs for seconds (about 4 s on 2 CPUs; 14 columns
-# finish in under the 0.75 s deadline). The admission estimator — trained on
-# the flood's ordinary datasets — predicts it fits the deadline and admits
-# it; the run then blows the deadline. Exactly the case breakers exist for.
+# A genuinely hostile dataset: 17 low-cardinality columns and no cheap keys,
+# so the lattice walk runs for seconds (about 8 s on 2 CPUs; 15 columns
+# finish inside the 0.75 s deadline, 16 in about 1.6 s). The admission
+# estimator — trained on the flood's ordinary datasets — predicts it fits
+# the deadline and admits it; the run then blows the deadline. Exactly the case breakers exist for.
 awk 'BEGIN {
 	srand(42)
-	h = "c0"; for (c = 1; c < 15; c++) h = h ",c" c; print h
+	h = "c0"; for (c = 1; c < 17; c++) h = h ",c" c; print h
 	for (r = 0; r < 12000; r++) {
-		row = int(rand()*5); for (c = 1; c < 15; c++) row = row "," int(rand()*5)
+		row = int(rand()*5); for (c = 1; c < 17; c++) row = row "," int(rand()*5)
 		print row
 	}
 }' > "$rdir/hostile.csv"
@@ -303,7 +303,7 @@ echo "== phase 3: hard memory watermark (fault-injected) =="
 kill_daemon
 HOLISTIC_FAULTS="mem.watermark:error" start_daemon
 
-# Large submission (the hostile CSV is ~350 KiB, past the 256 KiB large-job
+# Large submission (the hostile CSV is ~400 KiB, past the 256 KiB large-job
 # threshold): refused with 503 + Retry-After.
 jq -Rs '{csv: .}' < "$rdir/hostile.csv" > "$rdir/big.json"
 code=$(curl -sS -o "$rdir/mem.body" -D "$rdir/mem.hdr" -w '%{http_code}' \
