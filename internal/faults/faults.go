@@ -63,8 +63,9 @@ const (
 	// WorkerSpawn fires when parallel.For is about to fan out. error/transient
 	// modes degrade the pool to sequential in-line execution; panic panics.
 	WorkerSpawn Point = "worker.spawn"
-	// ServerEnqueue fires in the profiling server's submit handler before a
-	// job is enqueued; the server maps it to a structured 503.
+	// ServerEnqueue fires in the profiling server's admission path (every
+	// job, dataset creation and batch append) before any other check; the
+	// server maps it to a structured 503.
 	ServerEnqueue Point = "server.enqueue"
 	// WALAppend fires in durable.WAL.Append before the record frame is
 	// written, modeling a full disk or failed write. The record is not

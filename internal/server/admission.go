@@ -43,8 +43,8 @@ func (e *ewma) observe(v float64) {
 func (e *ewma) value() (float64, bool) { return e.val, e.n > 0 }
 
 // admission is the adaptive admission controller. It tracks an EWMA of job
-// service time per algorithm (and overall), an EWMA of queue wait, and the
-// CoDel shedding state. All methods are safe for concurrent use.
+// service time per service class (see job.serviceClass) and overall, and
+// the CoDel shedding state. All methods are safe for concurrent use.
 type admission struct {
 	workers int
 	// target is the CoDel sojourn target: the queue wait the controller
@@ -52,46 +52,45 @@ type admission struct {
 	// (= target), the oldest queued job is shed.
 	target time.Duration
 
-	mu      sync.Mutex
-	perAlg  map[string]*ewma
-	overall ewma
-	wait    ewma
+	mu       sync.Mutex
+	perClass map[string]*ewma
+	overall  ewma
 	// aboveSince is the CoDel state: when dequeue-time sojourn first
 	// exceeded target with no sub-target dequeue since (zero = below).
 	aboveSince time.Time
 }
 
 func newAdmission(workers int, target time.Duration) *admission {
-	return &admission{workers: workers, target: target, perAlg: map[string]*ewma{}}
+	return &admission{workers: workers, target: target, perClass: map[string]*ewma{}}
 }
 
-// observeService records one completed run's service time for alg.
-func (a *admission) observeService(alg string, d time.Duration) {
+// observeService records one completed run's service time for class.
+func (a *admission) observeService(class string, d time.Duration) {
 	s := d.Seconds()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	e, ok := a.perAlg[alg]
+	e, ok := a.perClass[class]
 	if !ok {
 		e = &ewma{}
-		a.perAlg[alg] = e
+		a.perClass[class] = e
 	}
 	e.observe(s)
 	a.overall.observe(s)
 }
 
-// estimateService predicts the service time of a job running alg, in
-// seconds. Per-algorithm history wins; with none, the overall average
+// estimateService predicts the service time of a job of class, in seconds.
+// The class's own history wins; with none, the overall average
 // stands in; with no history at all the estimate is unknown and admission
 // must not reject (the first job of a cold server is how the controller
 // learns). The admission.estimate fault point, armed, reports an unbounded
 // estimate so tests can drive the rejection path deterministically.
-func (a *admission) estimateService(alg string) (float64, bool) {
+func (a *admission) estimateService(class string) (float64, bool) {
 	if err := faults.Inject(faults.AdmissionEstimate); err != nil {
 		return math.MaxFloat64 / 4, true
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if e, ok := a.perAlg[alg]; ok {
+	if e, ok := a.perClass[class]; ok {
 		if v, seeded := e.value(); seeded {
 			return v, true
 		}
@@ -127,7 +126,7 @@ func admissionSlack(deadline time.Duration) time.Duration {
 	return slack
 }
 
-// onDequeue records a job's queue sojourn as a worker picks it up and
+// onDequeue takes a job's queue sojourn as a worker picks it up and
 // reports whether the CoDel state says to shed: sojourn has stayed above
 // target for at least one full target-length interval. A sub-target dequeue
 // resets the state; a shed re-arms the interval so shedding is paced, not a
@@ -135,7 +134,6 @@ func admissionSlack(deadline time.Duration) time.Duration {
 func (a *admission) onDequeue(sojourn time.Duration) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.wait.observe(sojourn.Seconds())
 	if a.target <= 0 {
 		return false
 	}
@@ -153,14 +151,6 @@ func (a *admission) onDequeue(sojourn time.Duration) bool {
 		return true
 	}
 	return false
-}
-
-// waitEstimate is the smoothed queue-wait EWMA in seconds (0 until seeded).
-func (a *admission) waitEstimate() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	v, _ := a.wait.value()
-	return v
 }
 
 // retryAfterSecs turns a predicted wait (seconds) into an honest

@@ -102,10 +102,10 @@ type batchRequest struct {
 }
 
 // settle releases the dataset's busy flag once its current job reaches a
-// terminal state. Done means the job's exec already stored the new profiler
-// state and report; anything else (failed, canceled, partial) poisons the
-// session — a half-applied append or an aborted initial profile leaves no
-// sound baseline to revalidate against.
+// terminal state (called by finish). Done means the job's exec already
+// committed the new profiler state and report; anything else (failed,
+// canceled, partial, lost) poisons the session — a half-applied append or an
+// aborted initial profile leaves no sound baseline to revalidate against.
 func (d *dataset) settle(state, errMsg string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -121,53 +121,28 @@ func (d *dataset) settle(state, errMsg string) {
 	d.prof = nil
 }
 
-// abandon reverts a busy claim whose job was never admitted (queue full or
-// draining), restoring the state the claim replaced.
-func (d *dataset) abandon(prevState string) {
+// abandon reverts a batch's busy claim when admission refuses its job.
+func (d *dataset) abandon() {
 	d.mu.Lock()
 	d.busy = false
-	d.state = prevState
+	d.state = DatasetReady
 	d.mu.Unlock()
-}
-
-// newDatasetJob builds a job that runs exec on the shared worker pool and
-// settles d when it terminates.
-func (s *Server) newDatasetJob(d *dataset, timeout time.Duration, noRetry bool,
-	exec func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error)) *job {
-	j := &job{
-		req:       d.req,
-		state:     StateQueued,
-		submitted: time.Now().UTC(),
-		timeout:   timeout,
-		events:    newEventLog(),
-		exec:      exec,
-		noRetry:   noRetry,
-		done:      d.settle,
-		datasetID: d.id,
-	}
-	s.mu.Lock()
-	s.nextID++
-	j.id = fmt.Sprintf("j-%d", s.nextID)
-	s.mu.Unlock()
-	d.mu.Lock()
-	d.jobIDs = append(d.jobIDs, j.id)
-	d.mu.Unlock()
-	return j
 }
 
 // handleCreateDataset implements POST /v1/datasets: it creates an
 // incremental profiling session and queues its initial full profile. The
 // body is the same shape as POST /v1/jobs. The response is 202 with the
 // dataset view; poll GET /v1/datasets/{id} (or the initial job) until ready.
+// The session exists only once admission accepts its initial profile: a
+// refused creation leaves no dataset behind.
 func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	// normalize validates and resolves the dataset bytes; the cache key is
-	// unused — an incremental session always needs the warm profiler, so it
-	// never short-circuits through the result cache.
-	_, src, _, err := req.normalize(s.cfg.DataDir)
+	// An incremental session always needs the warm profiler, so it never
+	// short-circuits through the result cache; the key feeds the breaker.
+	key, src, size, err := req.normalize(s.cfg.DataDir)
 	if err != nil {
 		s.logf("dataset rejected (400): %v", err)
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
@@ -177,49 +152,15 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-
-	d := &dataset{
-		state:   DatasetProfiling,
-		busy:    true,
-		req:     req,
-		created: time.Now().UTC(),
-		updated: time.Now().UTC(),
-	}
-	// The id is assigned before the job is built (the job's datasetID links
-	// its journaled terminal record back to the session) and the creation is
-	// journaled before the dataset is published: a crash can forget an id
-	// the client never saw, but never one it did.
-	s.mu.Lock()
-	s.nextDSID++
-	d.id = fmt.Sprintf("d-%d", s.nextDSID)
-	s.mu.Unlock()
-	j := s.newDatasetJob(d, timeout, false, func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
-		return s.runInitialProfile(ctx, d, src, opts, obs)
-	})
+	now := time.Now().UTC()
+	d := &dataset{state: DatasetProfiling, busy: true, req: req, created: now, updated: now}
 	// The initial profile reloads cleanly, so transient-error retries stay
 	// enabled; j.src additionally lets a deadline hit surface the anytime
 	// partial result on the job record (the dataset itself still fails — a
 	// partial profile is not a revalidation baseline).
-	j.src = src
-
-	if s.store != nil {
-		if err := s.journal(walRecord{Type: recDataset, Dataset: d.id, Req: &req}); err != nil {
-			s.logf("dataset rejected (503): journal create: %v", err)
-			s.setRetryAfter(w)
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "state journal unavailable: " + err.Error()})
-			return
-		}
-	}
-
-	s.mu.Lock()
-	s.datasets[d.id] = d
-	s.dsOrder = append(s.dsOrder, d.id)
-	s.mu.Unlock()
-
-	if !s.enqueueJob(w, j, &walRecord{Type: recDSJob, Job: j.id, Dataset: d.id, Kind: dsJobProfile}) {
-		// Admission failed after the dataset was published: keep the record
-		// (clients may already hold the id) but mark it failed.
-		d.settle(StateFailed, "initial profile was not admitted (queue full or shutting down)")
+	j := newJob(req, timeout)
+	j.kind, j.ds, j.key, j.src, j.exec = dsJobProfile, d, key, src, s.runInitialProfile
+	if !s.admit(w, j, size) {
 		return
 	}
 	s.metrics.datasetsCreated.Add(1)
@@ -228,50 +169,57 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, d.view())
 }
 
-// runInitialProfile is the exec body of a dataset's first job: a full
+// runInitialProfile is the exec of a dataset's first job: a full
 // from-scratch profile that leaves a warm incremental profiler behind.
-func (s *Server) runInitialProfile(ctx context.Context, d *dataset, src *core.MemoSource, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
-	rel, err := src.Load()
+func (s *Server) runInitialProfile(ctx context.Context, j *job, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
+	rel, err := j.src.Load()
 	if err != nil {
 		return nil, nil, err
 	}
-	prof, res, err := incremental.NewProfiler(ctx, rel, d.req.Algorithm, opts, obs)
+	prof, res, err := incremental.NewProfiler(ctx, rel, j.req.Algorithm, opts, obs)
 	if err != nil {
 		return res, nil, err
 	}
-	report := core.NewReport(rel, res, d.req.WithStats)
+	report, err := s.commit(j.ds, prof, res)
+	return res, report, err
+}
+
+// runBatch is the exec of a batch job: it folds the batch rows into the
+// session's warm profiler, which runs with the session's own options.
+func (s *Server) runBatch(ctx context.Context, j *job, _ core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
+	j.ds.mu.Lock()
+	prof := j.ds.prof
+	j.ds.mu.Unlock()
+	res, err := prof.AppendBatch(ctx, j.rows, obs)
+	if err != nil {
+		return res, nil, err
+	}
+	report, err := s.commit(j.ds, prof, res)
+	return res, report, err
+}
+
+// commit installs a completed run as the dataset's newest profile
+// generation and checkpoints it (atomic write, no-op without a state dir).
+// A dataset job only counts as done once its state is durable: a failed
+// checkpoint fails the job, which poisons the session instead of letting a
+// restart lose state a client was told exists. The checkpoint lands before
+// finish journals the job's end record.
+func (s *Server) commit(d *dataset, prof *incremental.Profiler, res *core.Result) (*core.Report, error) {
+	report := core.NewReport(prof.Relation(), res, d.req.WithStats)
 	d.mu.Lock()
 	d.prof = prof
 	d.report = report
 	d.version = prof.Version() + 1
 	d.mu.Unlock()
-	// A dataset job only counts as done once its state is durable: a failed
-	// checkpoint fails the job, which poisons the session instead of letting
-	// a restart lose state a client was told exists.
-	if err := s.checkpointDataset(d, prof, report); err != nil {
-		return res, nil, err
-	}
-	return res, report, nil
-}
-
-// checkpointDataset persists a dataset's warm profiler state and latest
-// report (atomic write, no-op without a state dir). Every successful dataset
-// job ends with one, BEFORE its terminal record is journaled.
-func (s *Server) checkpointDataset(d *dataset, prof *incremental.Profiler, report *core.Report) error {
 	if s.store == nil {
-		return nil
+		return report, nil
 	}
-	ck := &datasetCheckpoint{
-		Dataset:  d.id,
-		Version:  prof.Version() + 1,
-		Snapshot: prof.Snapshot(),
-		Report:   report,
-	}
+	ck := &datasetCheckpoint{Dataset: d.id, Version: prof.Version() + 1, Snapshot: prof.Snapshot(), Report: report}
 	if err := s.store.writeCheckpoint(ck); err != nil {
-		return fmt.Errorf("checkpoint dataset %s: %w", d.id, err)
+		return nil, fmt.Errorf("checkpoint dataset %s: %w", d.id, err)
 	}
 	s.metrics.checkpoints.Add(1)
-	return nil
+	return report, nil
 }
 
 // handleAppendBatch implements POST /v1/datasets/{id}/batches: it folds a
@@ -342,35 +290,14 @@ func (s *Server) handleAppendBatch(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	prof := d.prof
-	withStats := d.req.WithStats
 	d.busy = true
 	d.state = DatasetAppending
 	d.mu.Unlock()
 
-	// Batch jobs never retry: a transient failure mid-append may already
-	// have mutated the relation, and re-running would fold rows in twice.
-	j := s.newDatasetJob(d, timeout, true, func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
-		res, err := prof.AppendBatch(ctx, rows, obs)
-		if err != nil {
-			return res, nil, err
-		}
-		report := core.NewReport(prof.Relation(), res, withStats)
-		d.mu.Lock()
-		d.report = report
-		d.version = prof.Version() + 1
-		d.mu.Unlock()
-		if err := s.checkpointDataset(d, prof, report); err != nil {
-			return res, nil, err
-		}
-		return res, report, nil
-	})
-
-	// The admit record carries the batch rows themselves: recovery replays
-	// applied batches into the reloaded relation before resuming the
-	// checkpoint snapshot on top.
-	if !s.enqueueJob(w, j, &walRecord{Type: recDSJob, Job: j.id, Dataset: d.id, Kind: dsJobBatch, Rows: rows}) {
-		d.abandon(DatasetReady)
+	j := newJob(d.req, timeout)
+	j.kind, j.ds, j.rows, j.exec = dsJobBatch, d, rows, s.runBatch
+	if !s.admit(w, j, int64(len(req.CSV))) {
+		d.abandon()
 		return
 	}
 	s.metrics.datasetBatches.Add(1)

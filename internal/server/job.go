@@ -9,7 +9,8 @@ import (
 )
 
 // Job states. A job moves queued → running → {done, partial, failed,
-// canceled}; cache-served jobs jump straight from queued to done. Partial is
+// canceled}; cache-served jobs jump straight from queued to done, and a
+// queued job can be canceled or failed without running. Partial is
 // the 206-style outcome: the run stopped early (deadline, cancellation) but
 // the anytime result it accumulated — every dependency confirmed before the
 // stop — is attached and valid.
@@ -45,39 +46,29 @@ type job struct {
 	key cacheKey
 	src *core.MemoSource
 
-	// exec, when set, replaces the default strategy run: dataset jobs
-	// (initial profiles and batch appends) execute through it so they flow
-	// through the same queue, worker pool, retry loop, panic containment and
-	// event stream as plain jobs. It returns the engine result plus the
-	// report to attach; exec jobs never enter the content-addressed result
-	// cache (their output depends on accumulated dataset state, not only on
-	// the request bytes).
-	exec func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error)
-	// noRetry disables the transient-error retry loop. Batch appends set it:
-	// re-running a partially applied append would fold the same rows in
-	// twice.
-	noRetry bool
-	// done, when set, is invoked exactly once after the job reaches a
-	// terminal state (finish or a queued-state cancellation), with that
-	// state and error message. Dataset jobs use it to release the per-
-	// dataset busy flag and settle the dataset state.
-	done func(state, errMsg string)
-	// datasetID links a dataset job to its session (empty for plain jobs);
-	// journaled terminal records carry it so replay can settle the session.
-	datasetID string
-	// journaled marks jobs whose admission was written to the state WAL;
-	// only those journal their terminal transition too.
-	journaled bool
+	// kind is empty for a plain job and otherwise the dataset job kind
+	// journaled in its dsjob record: dsJobProfile for a dataset's initial
+	// profile (the job that creates the session), dsJobBatch for an append.
+	kind string
+	// ds is the session a dataset job runs for (nil for plain jobs). Its
+	// terminal transition settles the session.
+	ds *dataset
+	// rows are a batch job's parsed rows, journaled with its admission.
+	rows [][]string
+	// exec is the job's work, run on a worker slot through the shared retry
+	// loop, panic containment and event stream: runPlain, runInitialProfile
+	// or runBatch. It returns the engine result plus the report to attach.
+	exec func(ctx context.Context, j *job, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error)
 	// idemKey is the submission's idempotency key (empty without one).
 	// While the job is retained, the server's dedup table maps the key back
 	// to it, so retried submissions replay this job instead of enqueueing a
 	// duplicate.
 	idemKey string
 	// breakerKey identifies the (dataset fingerprint, algorithm) circuit
-	// breaker this job's outcome feeds; hasBreaker gates it (dataset jobs
-	// and replayed stubs stay outside the breaker).
+	// breaker this job's outcome feeds. It is set at admission for plain
+	// jobs and dataset creations; batch jobs and replayed jobs keep the zero
+	// key and stay outside the breakers.
 	breakerKey breakerKey
-	hasBreaker bool
 	// degraded marks a job admitted above the soft memory watermark: the
 	// run gets a shrunken PLI cache budget and the sampled-check prefilter
 	// forced on (results stay exact — both knobs trade speed for footprint).
@@ -93,13 +84,40 @@ type job struct {
 	finished  time.Time
 	// timeout is the per-job deadline resolved at admission (0 = none).
 	timeout time.Duration
-	// cancel aborts the job: before the worker picks the job up it only
-	// flips canceled (the worker skips it); while running it cancels the
-	// profiling context.
-	cancel   context.CancelFunc
-	canceled bool // cancellation requested (DELETE or shutdown)
+	// cancel cuts a running job's context (nil until the job runs).
+	cancel context.CancelFunc
+	// claimed is set, under mu, by the one owner that takes a queued job:
+	// the worker that runs it, or a transition that finishes it unrun
+	// (cancellation, shedding, a deadline spent in the queue). Cache-served
+	// jobs are claimed at admission.
+	claimed bool
 
 	events *eventLog
+}
+
+// newJob builds a queued job for req; the entry point sets the fields of its
+// kind before admission.
+func newJob(req jobRequest, timeout time.Duration) *job {
+	return &job{req: req, state: StateQueued, submitted: time.Now().UTC(), timeout: timeout, events: newEventLog()}
+}
+
+// claimLocked takes a queued job for the caller, at most once (j.mu held).
+func (j *job) claimLocked() bool {
+	if j.claimed || j.state != StateQueued {
+		return false
+	}
+	j.claimed = true
+	return true
+}
+
+// serviceClass keys the admission controller's service-time estimate. A
+// batch append costs a fraction of a full profile with the same algorithm,
+// so the two never share an average.
+func (j *job) serviceClass() string {
+	if j.kind == dsJobBatch {
+		return j.req.Algorithm + "/batch"
+	}
+	return j.req.Algorithm
 }
 
 // view renders the job's externally visible state.

@@ -99,7 +99,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	m := &s.metrics
 	hits, misses, evictions, entries := s.cache.counters()
 	writeMetric(w, "profiled_jobs_submitted_total", "counter",
-		"Jobs accepted by POST /v1/jobs (including cache-served ones).", m.jobsSubmitted.Load())
+		"Jobs admitted: plain jobs (including cache-served ones), initial dataset profiles and batch appends.", m.jobsSubmitted.Load())
 	writeMetric(w, "profiled_jobs_done_total", "counter",
 		"Jobs that finished successfully.", m.jobsDone.Load())
 	writeMetric(w, "profiled_jobs_partial_total", "counter",

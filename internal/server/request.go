@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,8 +14,9 @@ import (
 	"holistic/internal/relation"
 )
 
-// jobRequest is the JSON body of POST /v1/jobs. Exactly one of CSV or Path
-// supplies the dataset; all other fields are optional.
+// jobRequest is the JSON body of POST /v1/jobs and POST /v1/datasets.
+// Exactly one of CSV or Path supplies the dataset; all other fields are
+// optional.
 type jobRequest struct {
 	// CSV is the dataset inlined as CSV text.
 	CSV string `json:"csv,omitempty"`
@@ -70,13 +70,9 @@ type cacheKey struct {
 	WithStats     bool
 }
 
-// requestError is a client-side validation failure (HTTP 400).
-type requestError struct{ msg string }
-
-func (e requestError) Error() string { return e.msg }
-
+// badRequest reports a client-side validation failure (HTTP 400).
 func badRequest(format string, args ...any) error {
-	return requestError{msg: fmt.Sprintf(format, args...)}
+	return fmt.Errorf(format, args...)
 }
 
 // maxIdempotencyKeyLen bounds client-supplied idempotency keys: the keys
@@ -210,10 +206,4 @@ func (s bytesSource) Name() string { return s.name }
 
 func (s bytesSource) Load() (*relation.Relation, error) {
 	return relation.ReadCSV(s.name, bytes.NewReader(s.data), s.opts)
-}
-
-// errIsRequest reports whether err is a client-side validation failure.
-func errIsRequest(err error) bool {
-	var re requestError
-	return errors.As(err, &re)
 }

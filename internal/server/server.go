@@ -383,7 +383,7 @@ func (s *Server) runJob(j *job) {
 	}
 
 	j.mu.Lock()
-	if j.state != StateQueued { // canceled while waiting
+	if !j.claimLocked() { // canceled or shed while waiting
 		j.mu.Unlock()
 		return
 	}
@@ -391,23 +391,10 @@ func (s *Server) runJob(j *job) {
 	// here with an honest message instead of starting a run that the
 	// already-expired context would cut on its first cancellation check.
 	if j.timeout > 0 && sojourn >= j.timeout {
-		msg := fmt.Sprintf("deadline (%v) elapsed after %v in queue; run never started — resubmit with a longer timeout or retry off-peak",
-			j.timeout, sojourn.Round(time.Millisecond))
-		j.state = StateFailed
-		j.err = msg
-		j.finished = time.Now().UTC()
 		j.mu.Unlock()
 		s.metrics.jobsDoomedInQueue.Add(1)
-		s.announce(j, StateFailed, msg)
-		s.journalEnd(j, StateFailed, msg)
-		// Neutral for the breaker: the queue, not the dataset, ate the
-		// deadline.
-		if j.hasBreaker {
-			s.breakers.recordNeutral(j.breakerKey)
-		}
-		if j.done != nil {
-			j.done(StateFailed, msg)
-		}
+		s.finish(j, StateFailed, fmt.Sprintf("deadline (%v) elapsed after %v in queue; run never started — resubmit with a longer timeout or retry off-peak",
+			j.timeout, sojourn.Round(time.Millisecond)), nil)
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -447,12 +434,10 @@ func (s *Server) runJob(j *job) {
 	var report *core.Report
 	var err error
 	for attempt := 0; ; attempt++ {
-		if j.exec != nil {
-			res, report, err = j.exec(ctx, opts, obs)
-		} else {
-			res, err = core.RunContext(ctx, j.req.Algorithm, j.src, opts, obs)
-		}
-		if err == nil || j.noRetry || attempt >= s.cfg.RetryAttempts || !isTransient(err) || ctx.Err() != nil {
+		res, report, err = j.exec(ctx, j, opts, obs)
+		// Batch jobs never retry: a transient failure mid-append may already
+		// have mutated the relation, and re-running would fold rows in twice.
+		if err == nil || j.kind == dsJobBatch || attempt >= s.cfg.RetryAttempts || !isTransient(err) || ctx.Err() != nil {
 			break
 		}
 		s.metrics.jobRetries.Add(1)
@@ -476,10 +461,6 @@ func (s *Server) runJob(j *job) {
 	switch {
 	case err == nil:
 		s.consecutivePanics.Store(0)
-		if j.exec == nil {
-			report = core.NewReport(j.src.Relation(), res, j.req.WithStats)
-			s.cache.put(j.key, report)
-		}
 		s.finish(j, StateDone, "", report)
 	case errors.Is(err, context.Canceled):
 		s.finish(j, StateCanceled, "canceled", nil)
@@ -493,6 +474,18 @@ func (s *Server) runJob(j *job) {
 	default:
 		s.finish(j, StateFailed, err.Error(), nil)
 	}
+}
+
+// runPlain is a plain job's exec: a from-scratch run whose report enters
+// the content-addressed result cache.
+func (s *Server) runPlain(ctx context.Context, j *job, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
+	res, err := core.RunContext(ctx, j.req.Algorithm, j.src, opts, obs)
+	if err != nil {
+		return res, nil, err
+	}
+	report := core.NewReport(j.src.Relation(), res, j.req.WithStats)
+	s.cache.put(j.key, report)
+	return res, report, nil
 }
 
 // partialReport renders the anytime result of an interrupted run, provided it
@@ -519,20 +512,33 @@ func isTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// finish moves j (owned by the calling worker, state running) to a terminal
-// state and announces the transition. The outcome feeds the overload
-// controllers: real service time trains the admission estimator, and the
-// run's verdict settles this key's circuit breaker — success closes it,
-// failure or a deadline blowout counts toward (or past) its threshold,
-// cancellation and loss say nothing about the dataset and stay neutral.
+// finish is the only terminal transition of an admitted job: a worker's
+// verdict, a cancellation, shedding or a deadline spent in the queue, a
+// result-cache hit, a replayed job that no longer fits the queue. Every job
+// takes the same order: the end record is journaled, a dataset job's session
+// is settled, and only then is the state published. A client that reads a
+// terminal state therefore finds it durable, and one that reads "done" and at
+// once posts the next batch finds the session free.
 //
-// The end record is journaled and a dataset job's session settled BEFORE the
-// state is published: a client that reads "done" and at once posts the next
-// batch must find the session free.
+// The outcome feeds the overload controllers. Real service time trains the
+// admission estimate of the job's service class, and the run's verdict
+// settles its circuit breaker: success closes it, failure or a deadline
+// blowout counts toward its threshold. A job that never ran, a canceled run
+// and a lost one say nothing about the dataset and leave the breaker
+// neutral, which also releases a half-open trial slot the job may hold.
 func (s *Server) finish(j *job, state, errMsg string, report *core.Report) {
-	s.journalEnd(j, state, errMsg)
-	if j.done != nil {
-		j.done(state, errMsg)
+	end := walRecord{Type: recEnd, Job: j.id, State: state, Error: errMsg}
+	if j.ds != nil {
+		end.Dataset = j.ds.id
+	}
+	// Best-effort: the in-memory transition happens regardless, and recovery
+	// degrades safely (a missing end record reads as a job in flight, never
+	// as a wrong result).
+	if err := s.journal(end); err != nil {
+		s.logf("journal: end record for job %s: %v", j.id, err)
+	}
+	if j.ds != nil {
+		j.ds.settle(state, errMsg)
 	}
 	j.mu.Lock()
 	j.state = state
@@ -541,31 +547,22 @@ func (s *Server) finish(j *job, state, errMsg string, report *core.Report) {
 	j.finished = time.Now().UTC()
 	started, finished := j.started, j.finished
 	j.mu.Unlock()
-	if !started.IsZero() {
-		switch state {
-		case StateDone, StatePartial, StateFailed:
-			s.admission.observeService(j.req.Algorithm, finished.Sub(started))
-		}
-	}
-	if j.hasBreaker {
-		switch state {
-		case StateDone:
-			s.breakers.recordSuccess(j.breakerKey)
-		case StatePartial, StateFailed:
-			if s.breakers.recordFailure(j.breakerKey, errMsg, finished) {
-				s.logf("circuit breaker opened: sha=%s algorithm=%s after %q", j.breakerKey.sha[:12], j.breakerKey.alg, errMsg)
-			}
-		default:
-			s.breakers.recordNeutral(j.breakerKey)
-		}
-	}
-	s.announce(j, state, errMsg)
-}
 
-// announce records a terminal transition in the job's event stream and bumps
-// the outcome counter. The state fields must already be set; the caller
-// journals the end record (journalEnd).
-func (s *Server) announce(j *job, state, errMsg string) {
+	verdict := !started.IsZero() && (state == StateDone || state == StatePartial || state == StateFailed)
+	if verdict {
+		s.admission.observeService(j.serviceClass(), finished.Sub(started))
+	}
+	if j.breakerKey != (breakerKey{}) {
+		switch {
+		case !verdict:
+			s.breakers.recordNeutral(j.breakerKey)
+		case state == StateDone:
+			s.breakers.recordSuccess(j.breakerKey)
+		case s.breakers.recordFailure(j.breakerKey, errMsg, finished):
+			s.logf("circuit breaker opened: sha=%s algorithm=%s after %q", j.breakerKey.sha[:12], j.breakerKey.alg, errMsg)
+		}
+	}
+
 	j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: state, Error: errMsg})
 	j.events.close()
 	switch state {
@@ -589,44 +586,22 @@ func suffixIf(msg string) string {
 }
 
 // cancelIfQueued finishes a still-queued job as canceled; the worker that
-// later pulls it off the queue sees the terminal state and skips it. It is a
-// no-op for running or terminal jobs. The transition happens atomically
-// under the job lock, so it cannot interleave with a worker claiming the
-// job (runJob moves queued → running under the same lock).
+// later pulls it off the queue finds it claimed and skips it. It is a no-op
+// for running, terminal or already claimed jobs. The claim happens under the
+// job lock, so it cannot interleave with a worker claiming the job.
 func (s *Server) cancelIfQueued(j *job, reason string) bool {
 	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
+	claimed := j.claimLocked()
+	j.mu.Unlock()
+	if !claimed {
 		return false
 	}
-	j.canceled = true
-	j.state = StateCanceled
-	j.err = reason
-	j.finished = time.Now().UTC()
-	j.mu.Unlock()
-	// Neutral for the breaker: a canceled or shed job says nothing about
-	// whether its dataset is pathological, and a half-open trial slot it may
-	// hold must be released.
-	if j.hasBreaker {
-		s.breakers.recordNeutral(j.breakerKey)
-	}
-	s.announce(j, StateCanceled, reason)
-	s.journalEnd(j, StateCanceled, reason)
-	if j.done != nil {
-		j.done(StateCanceled, reason)
-	}
+	s.finish(j, StateCanceled, reason, nil)
 	return true
 }
 
-// register adds j to the job table, evicting the oldest terminal records
-// beyond the retention bound.
-func (s *Server) register(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.registerLocked(j)
-}
-
-// registerLocked is register with s.mu already held. It also maintains the
+// registerLocked adds j to the job table (s.mu held), evicting the oldest
+// terminal records beyond the retention bound. It also maintains the
 // idempotency-key table: the key maps onto the job for exactly the job's
 // retained lifetime, so dedup and retention expire together (a replayed key
 // whose job was evicted is simply a fresh submission again).
@@ -672,6 +647,223 @@ func (s *Server) jobCount() int {
 	return len(s.jobs)
 }
 
+// shedOldestQueued cancels the oldest still-queued job — CoDel's head drop.
+// Under sustained overload the stalest queued work has already burned most
+// of its deadline and the freshest has the best chance of meeting its own,
+// so the queue sheds from the head instead of serving everything late.
+func (s *Server) shedOldestQueued() string {
+	s.mu.Lock()
+	var victim *job
+	for _, id := range s.order {
+		j := s.jobs[id]
+		j.mu.Lock()
+		queued := j.state == StateQueued && !j.claimed
+		j.mu.Unlock()
+		if queued {
+			victim = j
+			break
+		}
+	}
+	s.mu.Unlock()
+	if victim == nil {
+		return ""
+	}
+	if !s.cancelIfQueued(victim, "shed: queue wait stayed above target (server overloaded); retry later") {
+		return ""
+	}
+	s.metrics.jobsShed.Add(1)
+	return victim.id
+}
+
+// --- admission ---
+
+// refusal is an admission rejection: decided under s.mu, written after it.
+type refusal struct {
+	status  int
+	counter *atomic.Int64 // the per-reason rejection counter, if any
+	retryIn float64       // seconds; the basis of the Retry-After header
+	msg     string
+}
+
+// admit is the one admission path of POST /v1/jobs, POST /v1/datasets and
+// POST /v1/datasets/{id}/batches. It writes every rejection itself — each
+// with a Retry-After computed from the controller's wait estimate, or the
+// breaker's cooldown — and an idempotent replay; on success the caller
+// writes the 200 or 202. A cache-served job is finished before admit
+// returns (j.cacheHit tells the caller).
+func (s *Server) admit(w http.ResponseWriter, j *job, size int64) bool {
+	s.mu.Lock()
+	prev, cached, ref := s.admitLocked(j, size)
+	s.mu.Unlock()
+	switch {
+	case prev != nil:
+		s.replayIdem(w, prev)
+		return false
+	case ref != nil:
+		if j.breakerKey != (breakerKey{}) {
+			// The breaker may have admitted this request as its half-open
+			// trial probe; a later refusal is no verdict on the key, so the
+			// trial slot goes to the next request.
+			s.breakers.recordNeutral(j.breakerKey)
+		}
+		if ref.counter != nil {
+			ref.counter.Add(1)
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(ref.retryIn)))
+		s.logf("admission rejected (%d): %s", ref.status, ref.msg)
+		writeJSON(w, ref.status, apiError{Error: ref.msg})
+		return false
+	}
+	s.metrics.jobsSubmitted.Add(1)
+	if j.cacheHit {
+		s.finish(j, StateDone, "", cached)
+	} else {
+		s.logf("job %s queued: algorithm=%s dataset=%s sha256=%.12s", j.id, j.req.Algorithm, j.req.Dataset, j.key.DatasetSHA256)
+	}
+	return true
+}
+
+// admitLocked is admit's decision, taken under s.mu. It applies, in order:
+//
+//  1. the draining check and the server.enqueue fault point;
+//  2. idempotency replay (only plain jobs carry a key);
+//  3. the result cache (plain jobs only): a hit skips to step 7;
+//  4. the circuit breaker of the dataset bytes and algorithm (plain jobs and
+//     dataset creations);
+//  5. the memory watermark: above the hard one, requests of LargeJobBytes
+//     or more (dataset bytes, or a batch's CSV bytes) are refused; any
+//     pressure makes an admitted profile run degraded;
+//  6. the predicted deadline, then the queue capacity;
+//  7. IDs, the WAL admit record(s), publication and the send.
+//
+// Nothing is published or journaled before every check has passed, so a
+// refused request leaves no job, dataset or WAL record behind. Holding s.mu
+// from the draining check to the send means Shutdown's queued-job sweep
+// (same lock) sees every queued job, no send is mid-flight when Shutdown
+// closes the queue, and exactly one of any set of concurrent same-key
+// submissions wins the key. The admit record is fsync'd before the job is
+// runnable: a crash after the client's 202 can never forget the job.
+func (s *Server) admitLocked(j *job, size int64) (prev *job, cached *core.Report, ref *refusal) {
+	wait := s.admission.predictWait(len(s.queue))
+	if s.draining {
+		return nil, nil, &refusal{http.StatusServiceUnavailable, &s.metrics.rejectedDraining, wait, "server is shutting down"}
+	}
+	if err := faults.Inject(faults.ServerEnqueue); err != nil {
+		return nil, nil, &refusal{http.StatusServiceUnavailable, nil, wait, "admission unavailable: " + err.Error()}
+	}
+	if prev, hit := s.idem[j.idemKey]; hit { // only plain jobs carry a key
+		return prev, nil, nil
+	}
+	if j.kind == "" {
+		cached, j.cacheHit = s.cache.get(j.key)
+	}
+	if !j.cacheHit {
+		// A (dataset, algorithm) pair that keeps failing — panics, deadline
+		// blowouts, hard errors — fast-fails with the error that tripped its
+		// breaker instead of burning another worker slot. 422: the request is
+		// well-formed, the payload is the problem.
+		if j.kind != dsJobBatch {
+			bk := breakerKey{sha: j.key.DatasetSHA256, alg: j.key.Algorithm}
+			if allowed, lastErr, retryIn := s.breakers.allow(bk, time.Now()); !allowed {
+				s.metrics.breakerFastFails.Add(1)
+				return nil, nil, &refusal{http.StatusUnprocessableEntity, &s.metrics.rejectedBreaker, retryIn.Seconds(),
+					fmt.Sprintf("circuit breaker open for this dataset and algorithm after repeated failures (last error: %s); retry after the cooldown", lastErr)}
+			}
+			j.breakerKey = bk
+		}
+		// Results stay exact under pressure either way. A batch is never
+		// degraded: AppendBatch runs with its session's options.
+		if level, heap := s.governor.state(); level != memHealthy {
+			if level >= memHard && size >= s.cfg.LargeJobBytes {
+				return nil, nil, &refusal{http.StatusServiceUnavailable, &s.metrics.rejectedMemPressure, wait,
+					fmt.Sprintf("memory pressure: heap (%d bytes) is above the hard watermark; submissions of %d+ bytes are refused until it recedes", heap, s.cfg.LargeJobBytes)}
+			}
+			j.degraded = j.kind != dsJobBatch
+		}
+		// With service-time history for this class in hand, a job predicted
+		// to exhaust its entire deadline queueing plus running is refused now
+		// instead of accepted, parked, and failed minutes later. The slack
+		// margin absorbs estimate noise; a cold controller always admits and
+		// learns.
+		if est, known := s.admission.estimateService(j.serviceClass()); known && j.timeout > 0 &&
+			wait+est > j.timeout.Seconds()+admissionSlack(j.timeout).Seconds() {
+			return nil, nil, &refusal{http.StatusTooManyRequests, &s.metrics.rejectedPredicted, wait,
+				fmt.Sprintf("predicted completion (%.1fs queue wait + %.1fs service) exceeds the %v deadline; retry in %ds or raise timeout_seconds",
+					wait, est, j.timeout, retryAfterSecs(wait))}
+		}
+		// Every send happens under s.mu and workers only drain, so a free
+		// slot observed here cannot vanish before the send below.
+		if len(s.queue) == cap(s.queue) {
+			return nil, nil, &refusal{http.StatusTooManyRequests, &s.metrics.rejectedQueueFull, wait,
+				fmt.Sprintf("job queue is full (%d waiting); retry in %ds", s.cfg.QueueDepth, retryAfterSecs(wait))}
+		}
+	}
+
+	s.nextID++
+	j.id = fmt.Sprintf("j-%d", s.nextID)
+	if j.kind == dsJobProfile {
+		s.nextDSID++
+		j.ds.id = fmt.Sprintf("d-%d", s.nextDSID)
+	}
+	for _, rec := range j.admitRecords() {
+		if err := s.journal(rec); err != nil {
+			return nil, nil, &refusal{http.StatusServiceUnavailable, nil, wait, "state journal unavailable: " + err.Error()}
+		}
+	}
+	s.registerLocked(j)
+	if d := j.ds; d != nil {
+		if j.kind == dsJobProfile {
+			s.datasets[d.id] = d
+			s.dsOrder = append(s.dsOrder, d.id)
+		}
+		d.mu.Lock()
+		d.jobIDs = append(d.jobIDs, j.id)
+		d.mu.Unlock()
+	}
+	if j.cacheHit {
+		j.claimed = true // admit finishes it; no worker or sweep may
+		return nil, cached, nil
+	}
+	j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: StateQueued})
+	s.queue <- j
+	return nil, nil, nil
+}
+
+// admitRecords are the WAL records that make j's admission durable: a plain
+// job's request; a dataset's creation request plus its initial-profile job;
+// a batch job with its rows, which recovery replays into the reloaded
+// relation before resuming the checkpoint on top.
+func (j *job) admitRecords() []walRecord {
+	switch j.kind {
+	case dsJobProfile:
+		return []walRecord{
+			{Type: recDataset, Dataset: j.ds.id, Req: &j.req},
+			{Type: recDSJob, Job: j.id, Dataset: j.ds.id, Kind: dsJobProfile},
+		}
+	case dsJobBatch:
+		return []walRecord{{Type: recDSJob, Job: j.id, Dataset: j.ds.id, Kind: dsJobBatch, Rows: j.rows}}
+	}
+	return []walRecord{{Type: recJob, Job: j.id, Req: &j.req}}
+}
+
+// replayIdem answers a submission whose idempotency key already maps onto a
+// job: the existing record — same ID, same event stream — is the response,
+// 200 once it settled, 202 while it is still queued or running. The retry
+// that raced a slow original gets the original's handle, never a duplicate
+// execution.
+func (s *Server) replayIdem(w http.ResponseWriter, prev *job) {
+	s.metrics.idemReplays.Add(1)
+	v := prev.view()
+	code := http.StatusAccepted
+	if terminal(v.State) {
+		code = http.StatusOK
+	}
+	w.Header().Set("Idempotent-Replay", "true")
+	w.Header().Set("Location", "/v1/jobs/"+prev.id)
+	s.logf("job %s replayed (idempotency key dedup)", prev.id)
+	writeJSON(w, code, v)
+}
+
 // --- HTTP handlers ---
 
 // apiError is the JSON error envelope.
@@ -709,171 +901,37 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// resolveTimeout turns a request's timeout_seconds into the effective job
-// deadline: the server default when unset, clamped to MaxTimeout. An
-// explicitly requested out-of-range deadline is a client error — the 400 is
-// written here — not something to silently clamp.
-func (s *Server) resolveTimeout(w http.ResponseWriter, requested float64) (time.Duration, bool) {
-	timeout := s.cfg.DefaultTimeout
+// jobTimeout turns a request's timeout_seconds into the effective job
+// deadline: the server default when unset, clamped to MaxTimeout. ok is
+// false when an explicitly requested deadline exceeds MaxTimeout; the
+// clamped deadline is still returned, which is what replay runs with.
+func (c *Config) jobTimeout(requested float64) (time.Duration, bool) {
+	timeout := c.DefaultTimeout
 	if requested > 0 {
 		timeout = time.Duration(requested * float64(time.Second))
-		if s.cfg.MaxTimeout > 0 && timeout > s.cfg.MaxTimeout {
-			s.logf("request rejected (400): timeout_seconds %g exceeds maximum %v", requested, s.cfg.MaxTimeout)
-			writeJSON(w, http.StatusBadRequest, apiError{
-				Error: fmt.Sprintf("timeout_seconds must be <= %g", s.cfg.MaxTimeout.Seconds()),
-			})
-			return 0, false
-		}
 	}
-	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
-		timeout = s.cfg.MaxTimeout // server default clamped, never rejected
+	tooLong := c.MaxTimeout > 0 && timeout > c.MaxTimeout
+	if tooLong || (c.MaxTimeout > 0 && timeout <= 0) {
+		timeout = c.MaxTimeout
 	}
-	return timeout, true
+	return timeout, !(tooLong && requested > 0)
 }
 
-// enqueueJob admits j: the draining check, the idempotency-key claim, the
-// admission-control checks, the journal write, the send and the registration
-// happen under one critical section, so Shutdown's queued-job sweep (same
-// lock) sees every job that is in the queue, no send can be mid-flight when
-// Shutdown closes the channel, and exactly one of any set of concurrent
-// same-key submissions wins the key. The admit record (when the server is
-// durable) is fsync'd BEFORE the job becomes runnable: a crash after the
-// client's 202 can therefore never forget the job, and a worker can never
-// finish a job whose admission was not journaled yet. Rejections (503
-// draining or journal failure, 429 predicted-deadline or full) are written
-// here, all with a Retry-After computed from the controller's wait estimate.
-func (s *Server) enqueueJob(w http.ResponseWriter, j *job, admit *walRecord) bool {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.metrics.rejectedDraining.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is shutting down"})
-		return false
-	}
-	// Idempotency double-check inside the critical section: a racing
-	// duplicate may have claimed the key between handleSubmit's lock-free
-	// fast path and here. The first claimant wins; everyone else replays its
-	// job.
-	if j.idemKey != "" {
-		if prev, hit := s.idem[j.idemKey]; hit {
-			s.mu.Unlock()
-			s.replayIdem(w, prev)
-			return false
-		}
-	}
-	// Deadline-aware admission: with service-time history for this algorithm
-	// in hand, a job predicted to exhaust its entire deadline queueing plus
-	// running is rejected now with an honest Retry-After instead of being
-	// accepted, parked, and failed minutes later. The slack margin absorbs
-	// estimate noise; a cold controller (no history) always admits and learns.
-	predictedWait := s.admission.predictWait(len(s.queue))
-	if est, known := s.admission.estimateService(j.req.Algorithm); known && j.timeout > 0 {
-		if predictedWait+est > j.timeout.Seconds()+admissionSlack(j.timeout).Seconds() {
-			s.mu.Unlock()
-			s.metrics.rejectedPredicted.Add(1)
-			retry := retryAfterSecs(predictedWait)
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			s.logf("job rejected (429): predicted %.2fs wait + %.2fs service exceeds deadline %v", predictedWait, est, j.timeout)
-			writeJSON(w, http.StatusTooManyRequests, apiError{
-				Error: fmt.Sprintf("predicted completion (%.1fs queue wait + %.1fs service) exceeds the %v deadline; retry in %ds or raise timeout_seconds",
-					predictedWait, est, j.timeout, retry),
-			})
-			return false
-		}
-	}
-	// Capacity check instead of a non-blocking send: every send happens
-	// under s.mu and workers only drain, so a free slot observed here cannot
-	// vanish before the send below.
-	if len(s.queue) == cap(s.queue) {
-		s.mu.Unlock()
-		s.metrics.rejectedQueueFull.Add(1)
-		retry := retryAfterSecs(predictedWait)
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusTooManyRequests, apiError{
-			Error: fmt.Sprintf("job queue is full (%d waiting); retry in %ds", s.cfg.QueueDepth, retry),
+// resolveTimeout is jobTimeout for an HTTP request: an explicitly requested
+// out-of-range deadline is a client error — the 400 is written here — not
+// something to silently clamp.
+func (s *Server) resolveTimeout(w http.ResponseWriter, requested float64) (time.Duration, bool) {
+	timeout, ok := s.cfg.jobTimeout(requested)
+	if !ok {
+		s.logf("request rejected (400): timeout_seconds %g exceeds maximum %v", requested, s.cfg.MaxTimeout)
+		writeJSON(w, http.StatusBadRequest, apiError{
+			Error: fmt.Sprintf("timeout_seconds must be <= %g", s.cfg.MaxTimeout.Seconds()),
 		})
-		return false
 	}
-	if s.store != nil && admit != nil {
-		if err := s.journal(*admit); err != nil {
-			s.mu.Unlock()
-			s.logf("job %s rejected (503): journal admit: %v", j.id, err)
-			s.setRetryAfter(w)
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "state journal unavailable: " + err.Error()})
-			return false
-		}
-		j.journaled = true
-	}
-	s.queue <- j
-	s.registerLocked(j)
-	s.mu.Unlock()
-	s.metrics.jobsSubmitted.Add(1)
-	j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: StateQueued})
-	return true
-}
-
-// setRetryAfter stamps a Retry-After computed from the controller's current
-// queue-wait prediction (clamped to [1s, 60s]) — an honest hint, not a
-// constant.
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(s.admission.predictWait(len(s.queue)))))
-}
-
-// replayIdem answers a submission whose idempotency key already maps onto a
-// job: the existing record — same ID, same event stream — is the response,
-// 200 once it settled, 202 while it is still queued or running. The retry
-// that raced a slow original gets the original's handle, never a duplicate
-// execution.
-func (s *Server) replayIdem(w http.ResponseWriter, prev *job) {
-	s.metrics.idemReplays.Add(1)
-	v := prev.view()
-	code := http.StatusAccepted
-	if terminal(v.State) {
-		code = http.StatusOK
-	}
-	w.Header().Set("Idempotent-Replay", "true")
-	w.Header().Set("Location", "/v1/jobs/"+prev.id)
-	s.logf("job %s replayed (idempotency key dedup)", prev.id)
-	writeJSON(w, code, v)
-}
-
-// shedOldestQueued cancels the oldest still-queued job — CoDel's head drop.
-// Under sustained overload the stalest queued work has already burned most
-// of its deadline and the freshest has the best chance of meeting its own,
-// so the queue sheds from the head instead of serving everything late.
-func (s *Server) shedOldestQueued() string {
-	s.mu.Lock()
-	var victim *job
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		queued := j.state == StateQueued
-		j.mu.Unlock()
-		if queued {
-			victim = j
-			break
-		}
-	}
-	s.mu.Unlock()
-	if victim == nil {
-		return ""
-	}
-	if !s.cancelIfQueued(victim, "shed: queue wait stayed above target (server overloaded); retry later") {
-		return ""
-	}
-	s.metrics.jobsShed.Add(1)
-	return victim.id
+	return timeout, ok
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Injected admission fault: proves a failing enqueue path surfaces as a
-	// structured 503 with a retry hint, not a dead daemon or a hung client.
-	if err := faults.Inject(faults.ServerEnqueue); err != nil {
-		s.logf("submit rejected (injected fault): %v", err)
-		s.setRetryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "admission unavailable: " + err.Error()})
-		return
-	}
 	var req jobRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -894,133 +952,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-
-	// Idempotent fast path: a key that already maps onto a retained job —
-	// this submission is a retry — replays that job before any admission
-	// work happens. The authoritative claim check re-runs under the
-	// admission critical section (enqueueJob) for submissions that get there.
-	if req.IdempotencyKey != "" {
-		s.mu.Lock()
-		prev, hit := s.idem[req.IdempotencyKey]
-		s.mu.Unlock()
-		if hit {
-			s.replayIdem(w, prev)
-			return
-		}
-	}
-
-	j := &job{
-		req:       req,
-		key:       key,
-		src:       src,
-		idemKey:   req.IdempotencyKey,
-		state:     StateQueued,
-		submitted: time.Now().UTC(),
-		timeout:   timeout,
-		events:    newEventLog(),
-	}
-
-	// Admission happens under the server lock so the draining check, the
-	// non-blocking enqueue and Shutdown's close(queue) cannot interleave.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.metrics.rejectedDraining.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is shutting down"})
+	j := newJob(req, timeout)
+	j.key, j.src, j.idemKey, j.exec = key, src, req.IdempotencyKey, s.runPlain
+	if !s.admit(w, j, size) {
 		return
 	}
-	s.nextID++
-	j.id = fmt.Sprintf("j-%d", s.nextID)
-	s.mu.Unlock()
-
-	// Content-addressed fast path: a byte-identical dataset profiled with
-	// the same result-affecting options is served from the cache without
-	// queueing.
-	if report, ok := s.cache.get(key); ok {
-		j.cacheHit = true
-		j.state = StateDone
-		j.result = report
-		j.finished = j.submitted
-		j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: StateDone})
-		j.events.close()
-		// Claim the idempotency key and register under one lock section: a
-		// racing duplicate that claimed the key first wins, and this
-		// submission replays its job instead of registering a second record.
-		s.mu.Lock()
-		if j.idemKey != "" {
-			if prev, hit := s.idem[j.idemKey]; hit {
-				s.mu.Unlock()
-				s.replayIdem(w, prev)
-				return
-			}
-		}
-		s.registerLocked(j)
-		s.mu.Unlock()
-		// Best-effort journal so the job ID answers "done" after a restart
-		// too (the report itself lives only in the in-memory cache); the
-		// client already has the result in hand, so a journal failure does
-		// not reject the request.
-		if err := s.journal(walRecord{Type: recJob, Job: j.id, Req: &j.req}); err == nil {
-			j.journaled = true
-			s.journalEnd(j, StateDone, "")
-		} else if s.store != nil {
-			s.logf("journal: cache-hit job %s: %v", j.id, err)
-		}
-		s.metrics.jobsSubmitted.Add(1)
-		s.metrics.jobsDone.Add(1)
-		s.logf("job %s done (result cache hit)", j.id)
-		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusOK, j.view())
-		return
+	// A byte-identical dataset profiled with the same result-affecting
+	// options was served from the result cache without queueing.
+	code := http.StatusAccepted
+	if j.cacheHit {
+		code = http.StatusOK
 	}
-
-	// Circuit breaker: a (dataset, algorithm) pair that keeps failing —
-	// panics, deadline blowouts, hard errors — fast-fails here with the
-	// error that tripped it, instead of burning another worker slot on work
-	// the server has every reason to believe is doomed. 422: the request is
-	// well-formed, the payload is the problem.
-	bk := breakerKey{sha: key.DatasetSHA256, alg: key.Algorithm}
-	if allowed, lastErr, retryIn := s.breakers.allow(bk, time.Now()); !allowed {
-		s.metrics.rejectedBreaker.Add(1)
-		s.metrics.breakerFastFails.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(retryIn.Seconds())))
-		s.logf("job rejected (422): circuit breaker open for sha=%s algorithm=%s", key.DatasetSHA256[:12], key.Algorithm)
-		writeJSON(w, http.StatusUnprocessableEntity, apiError{
-			Error: fmt.Sprintf("circuit breaker open for this dataset and algorithm after repeated failures (last error: %s); retry after the cooldown", lastErr),
-		})
-		return
-	}
-	j.breakerKey = bk
-	j.hasBreaker = true
-
-	// Memory-watermark gate: above the hard watermark, large submissions are
-	// refused outright; any pressure at all (soft or hard) makes admitted
-	// jobs run degraded — shrunken PLI cache budget, sampled-check prefilter
-	// on. Results stay exact either way.
-	if level, heap := s.governor.state(); level != memHealthy {
-		if level >= memHard && size >= s.cfg.LargeJobBytes {
-			s.metrics.rejectedMemPressure.Add(1)
-			s.breakers.recordNeutral(bk)
-			s.setRetryAfter(w)
-			s.logf("job rejected (503): heap %d bytes above hard watermark, dataset %d bytes", heap, size)
-			writeJSON(w, http.StatusServiceUnavailable, apiError{
-				Error: fmt.Sprintf("memory pressure: heap is above the hard watermark; submissions of %d+ bytes are refused until it recedes", s.cfg.LargeJobBytes),
-			})
-			return
-		}
-		j.degraded = true
-	}
-
-	if !s.enqueueJob(w, j, &walRecord{Type: recJob, Job: j.id, Req: &j.req}) {
-		// The breaker may have admitted this submission as its half-open
-		// trial probe; an admission rejection is no verdict on the key, so
-		// the trial slot must be released for the next submission.
-		s.breakers.recordNeutral(bk)
-		return
-	}
-	s.logf("job %s queued: algorithm=%s dataset=%s sha256=%s", j.id, req.Algorithm, req.Dataset, key.DatasetSHA256[:12])
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.view())
+	writeJSON(w, code, j.view())
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -1060,16 +1004,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	if terminal(j.state) {
-		j.mu.Unlock()
-		writeJSON(w, http.StatusOK, j.view()) // idempotent no-op
-		return
-	}
-	// Running: flag the cancellation and cut the job's context; the worker
-	// observes context.Canceled and finishes the job as canceled.
-	j.canceled = true
+	running := j.state == StateRunning
 	cancel := j.cancel
 	j.mu.Unlock()
+	if !running {
+		// Terminal (an idempotent no-op), or already being finished unrun.
+		writeJSON(w, http.StatusOK, j.view())
+		return
+	}
+	// Running: cut the job's context; the worker observes context.Canceled
+	// and finishes the job as canceled.
 	cancel()
 	writeJSON(w, http.StatusAccepted, j.view())
 }

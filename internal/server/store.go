@@ -115,10 +115,8 @@ func (st *store) close() error { return st.wal.Close() }
 // --- journaling hooks (no-ops without a store) ---
 
 // journal appends one record, counting it. The returned error means the
-// record is not durable; admission call sites reject the request on it,
-// terminal call sites log and carry on (the in-memory transition already
-// happened, and recovery degrades safely: a missing end record reads as a
-// lost job, never as a wrong result).
+// record is not durable; admission rejects the request on it, finish logs
+// and carries on.
 func (s *Server) journal(rec walRecord) error {
 	if s.store == nil {
 		return nil
@@ -129,18 +127,6 @@ func (s *Server) journal(rec walRecord) error {
 	}
 	s.metrics.walRecords.Add(1)
 	return nil
-}
-
-// journalEnd records a job's terminal transition, best-effort. The record
-// lands after any checkpoint the job's exec wrote: a journaled "done"
-// therefore always has its durable state on disk.
-func (s *Server) journalEnd(j *job, state, errMsg string) {
-	if s.store == nil || !j.journaled {
-		return
-	}
-	if err := s.journal(walRecord{Type: recEnd, Job: j.id, Dataset: j.datasetID, State: state, Error: errMsg}); err != nil {
-		s.logf("journal: end record for job %s: %v", j.id, err)
-	}
 }
 
 // --- recovery ---
@@ -268,7 +254,11 @@ func (s *Server) recoverState(replay *durable.Replay) (RecoveryStats, []*job) {
 	}
 
 	for _, id := range dsOrder {
-		s.recoverDataset(datasets[id], jobs, &stats)
+		// A creation whose initial-profile admission never became durable was
+		// refused (or torn away by the crash): the session never existed.
+		if len(datasets[id].jobIDs) > 0 {
+			s.recoverDataset(datasets[id], jobs, &stats)
+		}
 	}
 
 	// Plain jobs: terminal records are restored for status queries; in-
@@ -452,8 +442,6 @@ func (s *Server) restoreTerminalJob(rj *replayedJob, req *jobRequest, stats *Rec
 		id:        rj.id,
 		state:     rj.endState,
 		err:       rj.endErr,
-		datasetID: rj.dataset,
-		journaled: true,
 		submitted: rj.admitted,
 		finished:  time.Now().UTC(),
 		events:    newEventLog(),
@@ -474,37 +462,18 @@ func (s *Server) restoreTerminalJob(rj *replayedJob, req *jobRequest, stats *Rec
 
 // rebuildPlainJob reconstructs an in-flight plain job for re-execution. A
 // request that no longer normalizes (e.g. its data-dir file vanished) is
-// restored failed instead.
+// finished failed instead.
 func (s *Server) rebuildPlainJob(rj *replayedJob, stats *RecoveryStats) *job {
-	// The admission-time timeout resolution, minus the HTTP 400 path: the
-	// original admission already validated the requested value.
-	timeout := s.cfg.DefaultTimeout
-	if rj.req.TimeoutSeconds > 0 {
-		timeout = time.Duration(rj.req.TimeoutSeconds * float64(time.Second))
-	}
-	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
-		timeout = s.cfg.MaxTimeout
-	}
-	j := &job{
-		id:        rj.id,
-		req:       *rj.req,
-		idemKey:   rj.req.IdempotencyKey,
-		state:     StateQueued,
-		journaled: true,
-		submitted: rj.admitted,
-		timeout:   timeout,
-		events:    newEventLog(),
-	}
+	// The original admission already validated the requested deadline; a
+	// since-lowered MaxTimeout clamps it.
+	timeout, _ := s.cfg.jobTimeout(rj.req.TimeoutSeconds)
+	j := newJob(*rj.req, timeout)
+	j.id, j.idemKey, j.submitted, j.exec = rj.id, rj.req.IdempotencyKey, rj.admitted, s.runPlain
 	j.events.append(JobEvent{Event: core.Event{Type: EventReplay}})
 	key, src, _, err := j.req.normalize(s.cfg.DataDir)
 	if err != nil {
-		j.state = StateFailed
-		j.err = fmt.Sprintf("replay: %v", err)
-		j.finished = time.Now().UTC()
-		j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: StateFailed, Error: j.err})
-		j.events.close()
 		s.registerLocked(j)
-		s.journalEnd(j, StateFailed, j.err)
+		s.finish(j, StateFailed, fmt.Sprintf("replay: %v", err), nil)
 		stats.RestoredJobs++
 		return nil
 	}
