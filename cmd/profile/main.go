@@ -227,7 +227,7 @@ func printText(out io.Writer, rel *relation.Relation, res *core.Result, o textOp
 	}
 
 	if o.approxEps > 0 {
-		approx := fd.ApproximateFDs(pli.NewProvider(rel, 0), o.approxEps, 3)
+		approx := fd.ApproximateFDs(pli.NewProvider(rel, 1, 0, 0), o.approxEps, 3)
 		printf("\nApproximate FDs with g3 ≤ %.3f (lhs ≤ 3 columns):\n", o.approxEps)
 		for _, f := range approx {
 			if f.Error == 0 {

@@ -28,13 +28,15 @@ type Options struct {
 	// for bounded memory, and the discovered IND/UCC/FD sets are identical
 	// for every budget.
 	MaxCacheBytes int64
-	// Workers bounds the worker pool of the parallel phases: single-column
-	// PLI construction, FUN/TANE per-level candidate validation, and the
-	// per-right-hand-side R\Z and completion-sweep walks of MUDS. <= 0
-	// selects runtime.GOMAXPROCS(0). The discovered IND/UCC/FD sets are
-	// identical for every value; only wall time (and cache statistics)
-	// varies. With Workers > 1 the strategies back the shared PLI provider
-	// with a ShardedCache so it is safe to share across the pool.
+	// Workers bounds the worker pool of the parallel phases: FUN/TANE
+	// per-level candidate validation and the per-right-hand-side R\Z and
+	// completion-sweep walks of MUDS. <= 0 selects runtime.GOMAXPROCS(0).
+	// The discovered IND/UCC/FD sets are identical for every value; only
+	// wall time (and cache statistics) varies. It also sizes the shared PLI
+	// provider's cache: Workers > 1 gives it one locked shard per worker
+	// (rounded up to a power of two) so it is safe to share across the pool,
+	// Workers = 1 a single unlocked shard. Single-column PLIs are always
+	// built across GOMAXPROCS workers.
 	Workers int
 	// SampleCheck arms the sampled refutation prefilter of the PLI
 	// provider's validation fast path: boolean questions (uniqueness, FD
@@ -50,33 +52,14 @@ type Options struct {
 // workerCount resolves Workers to an effective pool width.
 func (o Options) workerCount() int { return parallel.Workers(o.Workers) }
 
-// cacheBudget resolves MaxCacheBytes to the effective byte budget handed to
-// the cache constructors: 0 = default, < 0 = unbudgeted.
-func (o Options) cacheBudget() int64 {
-	switch {
-	case o.MaxCacheBytes < 0:
-		return 0 // explicit opt-out: no byte budget
-	case o.MaxCacheBytes == 0:
-		return pli.DefaultCacheBytes
-	default:
-		return o.MaxCacheBytes
-	}
-}
-
-// NewProvider builds the PLI provider for one strategy run: sharded and
-// concurrency-safe when the run fans out, the cheaper single-goroutine
-// MapCache when it stays sequential. Both are byte-budgeted (the memory
-// governor) per cacheBudget. It is exported for the incremental layer, which
-// must construct providers with exactly the engine's cache and sampling
+// NewProvider builds the PLI provider for one strategy run: its cache is
+// sharded and locked when the run fans out, a single unlocked shard when it
+// stays sequential, and bounded by CacheEntries and MaxCacheBytes (the
+// memory governor). It is exported for the incremental layer, which must
+// construct providers with exactly the engine's cache and sampling
 // configuration so that patched and from-scratch runs are comparable.
 func (o Options) NewProvider(rel *relation.Relation) *pli.Provider {
-	var p *pli.Provider
-	if w := o.workerCount(); w > 1 {
-		p = pli.NewProviderWithCache(rel, pli.NewShardedCacheBudget(w, o.CacheEntries, o.cacheBudget()))
-	} else {
-		p = pli.NewProviderWithCache(rel, pli.NewMapCacheBudget(o.CacheEntries, o.cacheBudget()))
-	}
-	return p.WithSampleCheck(o.SampleCheck)
+	return pli.NewProvider(rel, o.Workers, o.CacheEntries, o.MaxCacheBytes).WithSampleCheck(o.SampleCheck)
 }
 
 // Muds runs the full holistic MUDS algorithm (paper Sec. 5) on a loaded

@@ -36,14 +36,11 @@ type pliReport struct {
 	Measurements []PLIMeasurement `json:"measurements"`
 }
 
-// pliBaseline holds the pre-refactor reference numbers (ns/op, allocs/op)
-// per (op, rows), measured with the per-cluster-allocation PLI and per-call
-// map grouping on the benchmark machine immediately before the flat-layout
-// refactor landed.
-var pliBaseline = map[string]map[int][2]float64{
-	"Intersect":       {10000: {1252475, 9761}, 100000: {7363150, 46015}},
-	"IntersectColumn": {10000: {1160115, 9759}, 100000: {6098959, 46013}},
-}
+// pliBaseline holds the pre-refactor IntersectColumn reference numbers
+// (ns/op, allocs/op) per row count, measured with the per-cluster-allocation
+// PLI and per-call map grouping on the benchmark machine immediately before
+// the flat-layout refactor landed.
+var pliBaseline = map[int][2]float64{10000: {1160115, 9759}, 100000: {6098959, 46013}}
 
 // pliBenchRelation mirrors the relation shape of the in-package PLI
 // benchmarks: three columns, cardinality 100, fixed seed.
@@ -61,61 +58,44 @@ func pliBenchRelation(rows int) *relation.Relation {
 	return relation.MustNew("plibench", names, data)
 }
 
-// PLIBench runs the PLI intersection micro-benchmarks (Intersect and
-// IntersectColumn at 10k and 100k rows), prints a table, and writes the
-// measurements to jsonPath as machine-readable JSON (empty path = no file).
+// PLIBench runs the PLI intersection micro-benchmark (IntersectColumn at
+// 10k and 100k rows), prints a table, and writes the measurements to
+// jsonPath as machine-readable JSON (empty path = no file).
 // It is the `cmd/experiments -pli` entry point that regenerates
 // BENCH_pli.json.
 func PLIBench(w io.Writer, jsonPath string) ([]PLIMeasurement, error) {
-	fmt.Fprintln(w, "PLI micro-benchmarks — flat-layout intersection (steady state, cached attribute vector)")
+	fmt.Fprintln(w, "PLI micro-benchmarks — flat-layout column intersection (steady state)")
 	fmt.Fprintf(w, "%-16s %8s %12s %12s %10s %9s\n", "op", "rows", "ns/op", "B/op", "allocs/op", "speedup")
 
 	var out []PLIMeasurement
 	for _, rows := range []int{10000, 100000} {
 		rel := pliBenchRelation(rows)
 		a := pli.FromColumn(rel.Column(0), rel.Cardinality(0))
-		c := pli.FromColumn(rel.Column(1), rel.Cardinality(1))
 		col, card := rel.Column(1), rel.Cardinality(1)
 
-		runs := []struct {
-			op string
-			fn func(b *testing.B)
-		}{
-			{"Intersect", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if a.Intersect(c).NumRows() != rel.NumRows() {
-						b.Fatal("bad result")
-					}
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if a.IntersectColumn(col, card).NumRows() != rel.NumRows() {
+					b.Fatal("bad result")
 				}
-			}},
-			{"IntersectColumn", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if a.IntersectColumn(col, card).NumRows() != rel.NumRows() {
-						b.Fatal("bad result")
-					}
-				}
-			}},
-		}
-		for _, run := range runs {
-			r := testing.Benchmark(run.fn)
-			m := PLIMeasurement{
-				Op:          run.op,
-				Rows:        rows,
-				NsPerOp:     float64(r.NsPerOp()),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
 			}
-			if base, ok := pliBaseline[run.op][rows]; ok && m.NsPerOp > 0 {
-				m.BaselineNsPerOp = base[0]
-				m.BaselineAllocsPerOp = int64(base[1])
-				m.Speedup = base[0] / m.NsPerOp
-			}
-			out = append(out, m)
-			fmt.Fprintf(w, "%-16s %8d %12.0f %12d %10d %8.1fx\n",
-				m.Op, m.Rows, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.Speedup)
+		})
+		m := PLIMeasurement{
+			Op:          "IntersectColumn",
+			Rows:        rows,
+			NsPerOp:     float64(r.NsPerOp()),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			AllocsPerOp: r.AllocsPerOp(),
 		}
+		if base, ok := pliBaseline[rows]; ok && m.NsPerOp > 0 {
+			m.BaselineNsPerOp = base[0]
+			m.BaselineAllocsPerOp = int64(base[1])
+			m.Speedup = base[0] / m.NsPerOp
+		}
+		out = append(out, m)
+		fmt.Fprintf(w, "%-16s %8d %12.0f %12d %10d %8.1fx\n",
+			m.Op, m.Rows, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.Speedup)
 	}
 
 	if jsonPath != "" {

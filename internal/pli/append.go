@@ -1,11 +1,8 @@
 package pli
 
 import (
-	"context"
 	"encoding/binary"
 
-	"holistic/internal/bitset"
-	"holistic/internal/parallel"
 	"holistic/internal/relation"
 )
 
@@ -26,9 +23,9 @@ import (
 //     falls back to a from-scratch intersection chain, bounded by an explicit
 //     scan budget.
 //
-// Provider.Refresh drives both paths and re-Puts the patched PLIs through the
-// cache, so the Put-time-pinned byte ledger of the memory governor stays
-// truthful.
+// Provider.Refresh drives both paths and re-Puts the patched PLIs into the
+// drained cache, so the byte ledger of the memory governor tracks the new
+// sizes and a dropped re-Put leaves a miss rather than a stale PLI.
 
 // Appender carries the per-batch state shared by every AppendRows call: the
 // extended relation's columns, the rebuilt single-column PLIs, and lazily
@@ -262,42 +259,25 @@ func (a *Appender) rebuild(cols []int, s *Scratch) *PLI {
 
 // Refresh re-synchronises the Provider with its relation after a
 // relation.Append extended it in place: the single-column PLIs and the
-// empty-set PLI are rebuilt over the extended columns, every cached
-// multi-column PLI is patched through the AppendRows merge path and re-Put
-// (so the cache's Put-time byte ledger tracks the new sizes), and the
-// sampled-refutation prefilter, if armed, is re-armed against the new row
-// count. oldRows is the relation's row count before the append.
+// empty-set PLI are rebuilt over the extended columns; every cached
+// multi-column PLI is drained from the cache, patched through the AppendRows
+// merge path and re-Put, so the byte ledger tracks the new sizes and a
+// re-Put dropped by the cache.put fault point leaves a miss, never the
+// pre-append PLI; and the sampled-refutation prefilter, if armed, is re-armed
+// against the new row count. oldRows is the relation's row count before the
+// append.
 //
 // Refresh is an exclusive operation: like relation.Append, it must not run
 // concurrently with any other method of the Provider.
 func (p *Provider) Refresh(oldRows int) {
 	rel := p.rel
-	maxCard := rel.MaxCardinality()
-	scratches := make([]*Scratch, parallel.Workers(0))
-	parallel.ForWorker(context.Background(), parallel.Workers(0), rel.NumColumns(), func(w, c int) {
-		s := scratches[w]
-		if s == nil {
-			s = NewScratch()
-			s.Ensure(maxCard)
-			scratches[w] = s
-		}
-		p.single[c] = FromColumnScratch(rel.Column(c), rel.Cardinality(c), s)
-	})
+	p.buildSingles()
 	p.empty = FromAllRows(rel.NumRows())
 
 	a := NewAppender(rel, oldRows, p.single)
-	type entry struct {
-		set bitset.Set
-		pli *PLI
-	}
-	var entries []entry
-	p.cache.ForEach(func(s bitset.Set, q *PLI) bool {
-		entries = append(entries, entry{s, q})
-		return true
-	})
 	s := NewScratch()
-	s.Ensure(maxCard)
-	for _, e := range entries {
+	s.Ensure(rel.MaxCardinality())
+	for _, e := range p.cache.drain() {
 		p.cachePut(e.set, e.pli.AppendRows(a, e.set.Columns(), s))
 	}
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"holistic/internal/bitset"
+	"holistic/internal/faults"
 	"holistic/internal/relation"
 )
 
@@ -163,20 +164,22 @@ func TestAppendRowsRebuildFallback(t *testing.T) {
 // TestProviderRefresh pins the full provider patch: after an append and a
 // Refresh, every previously cached set answers exactly like a fresh provider
 // over the extended relation, and the cache byte ledger matches the patched
-// contents.
+// contents. The dropped-puts cases arm the cache.put fault point around
+// Refresh: every re-Put of a patched PLI is dropped, which must leave a miss
+// rather than the stale pre-append PLI.
 func TestProviderRefresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, cacheKind := range []string{"map", "sharded"} {
-		t.Run(cacheKind, func(t *testing.T) {
-			rel := appendTestRelation(t, rng, 80, 4, 4)
-			var cache Cache
-			switch cacheKind {
-			case "map":
-				cache = NewMapCache(0)
-			default:
-				cache = NewShardedCache(4, 0)
-			}
-			p := NewProviderWithCache(rel, cache)
+	t.Cleanup(faults.Reset)
+	for _, tc := range []struct {
+		name     string
+		workers  int
+		dropPuts bool
+	}{
+		{"map", 1, false}, {"sharded", 4, false},
+		{"map-dropped-puts", 1, true}, {"sharded-dropped-puts", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rel := appendTestRelation(t, rand.New(rand.NewSource(3)), 80, 4, 4)
+			p := NewProvider(rel, tc.workers, 0, 0)
 			sets := []bitset.Set{
 				bitset.Single(0).With(1),
 				bitset.Single(1).With(2).With(3),
@@ -184,7 +187,10 @@ func TestProviderRefresh(t *testing.T) {
 				bitset.Single(0).With(1).With(2).With(3),
 			}
 			for _, s := range sets {
-				p.Get(s)
+				p.IsUnique(s) // a refuted probe admits its PLI
+			}
+			if p.CacheStats().Entries == 0 {
+				t.Fatal("no PLI cached before the append; Refresh would patch nothing")
 			}
 			oldRows := rel.NumRows()
 			batch := [][]string{
@@ -195,27 +201,43 @@ func TestProviderRefresh(t *testing.T) {
 			if _, err := rel.Append(batch); err != nil {
 				t.Fatal(err)
 			}
+			if tc.dropPuts {
+				faults.Enable(faults.CachePut, faults.ModeError, 0)
+			}
 			p.Refresh(oldRows)
+			faults.Reset()
 
-			fresh := NewProvider(rel, 0)
+			// The byte ledger must equal a re-summation of the cached PLIs.
+			var want int64
+			for i := range p.cache.shards {
+				for _, q := range p.cache.shards[i].entries {
+					want += q.ApproxBytes()
+				}
+			}
+			st := p.CacheStats()
+			if st.Bytes != want {
+				t.Fatalf("cache bytes ledger %d, recomputed %d", st.Bytes, want)
+			}
+			if tc.dropPuts && st.Entries != 0 {
+				t.Fatalf("%d entries survived a Refresh whose re-Puts were all dropped", st.Entries)
+			}
+
+			fresh := NewProvider(rel, 1, 0, 0)
 			for _, s := range sets {
-				if !reflect.DeepEqual(canonicalClusters(p.Get(s)), canonicalClusters(fresh.Get(s))) {
-					t.Fatalf("set %v: patched provider disagrees with fresh provider", s)
+				if got, want := p.Cardinality(s), fresh.Cardinality(s); got != want {
+					t.Fatalf("set %v: Cardinality %d, fresh provider %d", s, got, want)
+				}
+				if got, want := p.IsUnique(s), fresh.IsUnique(s); got != want {
+					t.Fatalf("set %v: IsUnique %v, fresh provider %v", s, got, want)
+				}
+				if got, want := providerClusters(p, s), brutePLI(rel, s); !reflect.DeepEqual(got, want) {
+					t.Fatalf("set %v: clusters %v, want %v", s, got, want)
 				}
 			}
 			for c := 0; c < rel.NumColumns(); c++ {
 				if !reflect.DeepEqual(canonicalClusters(p.SingleColumn(c)), canonicalClusters(fresh.SingleColumn(c))) {
 					t.Fatalf("single column %d not rebuilt", c)
 				}
-			}
-			// The byte ledger must equal a re-summation of the cached PLIs.
-			var want int64
-			cache.ForEach(func(_ bitset.Set, q *PLI) bool {
-				want += q.ApproxBytes()
-				return true
-			})
-			if got := cache.Bytes(); got != want {
-				t.Fatalf("cache bytes ledger %d, recomputed %d", got, want)
 			}
 		})
 	}

@@ -30,29 +30,6 @@ func benchRelation(rows, cols, card int) *relation.Relation {
 // match the sizes recorded in BENCH_pli.json.
 var benchSizes = []int{10000, 100000}
 
-// BenchmarkIntersect measures the probe-table PLI intersection, the
-// operation the paper identifies as the primary cost of FD checks. In the
-// steady state the left operand's attribute vector is cached, grouping runs
-// on pooled scratch arenas, and the only allocations are the result PLI's
-// own arrays — ReportAllocs makes a map-grouping regression show up as an
-// allocs/op explosion.
-func BenchmarkIntersect(b *testing.B) {
-	for _, rows := range benchSizes {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			rel := benchRelation(rows, 3, 100)
-			a := FromColumn(rel.Column(0), rel.Cardinality(0))
-			c := FromColumn(rel.Column(1), rel.Cardinality(1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if a.Intersect(c).NumRows() != rel.NumRows() {
-					b.Fatal("bad result")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkIntersectColumn measures the column-variant intersection used on
 // lattice walks.
 func BenchmarkIntersectColumn(b *testing.B) {
@@ -156,7 +133,7 @@ func BenchmarkCheckRefines(b *testing.B) {
 
 // BenchmarkCheckRefinesMany measures TANE's batched per-level RHS sweep:
 // one fold answering every candidate at once vs materializing the lhs PLI
-// and running RefinesEach over it.
+// and checking each candidate with Refines.
 func BenchmarkCheckRefinesMany(b *testing.B) {
 	rel := benchRelation(50000, 6, 100)
 	base := FromColumn(rel.Column(0), rel.Cardinality(0))
@@ -174,36 +151,30 @@ func BenchmarkCheckRefinesMany(b *testing.B) {
 	b.Run("materialize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			base.IntersectColumn(keys[0], cards[0]).RefinesEach(cands)
+			lhs := base.IntersectColumn(keys[0], cards[0])
+			for _, c := range cands {
+				lhs.Refines(c)
+			}
 		}
 	})
 }
 
 // BenchmarkProviderIsUnique measures the full provider fast path (plan +
-// kernel) on uncached sets, the per-probe cost of a DUCC walk step.
+// kernel) on uncached sets, the per-probe cost of a DUCC walk step, on a
+// one-shard (unlocked) and a two-shard (locked) cache.
 func BenchmarkProviderIsUnique(b *testing.B) {
 	rel := benchRelation(20000, 6, 50)
-	p := NewProvider(rel, 0)
 	sets := []bitset.Set{
 		bitset.New(0, 1), bitset.New(1, 2, 3), bitset.New(0, 2, 4), bitset.New(3, 4, 5),
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.IsUnique(sets[i%len(sets)])
-	}
-}
-
-// BenchmarkProviderGet measures cached multi-column PLI retrieval.
-func BenchmarkProviderGet(b *testing.B) {
-	rel := benchRelation(20000, 6, 50)
-	p := NewProvider(rel, 0)
-	sets := []bitset.Set{
-		bitset.New(0, 1), bitset.New(1, 2, 3), bitset.New(0, 2, 4), bitset.New(3, 4, 5),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Get(sets[i%len(sets)])
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			p := NewProvider(rel, workers, 0, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.IsUnique(sets[i%len(sets)])
+			}
+		})
 	}
 }

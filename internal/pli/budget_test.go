@@ -7,10 +7,9 @@ import (
 )
 
 // TestApproxBytesModel pins the byte-accounting model the memory governor
-// budgets against: 96 bytes of struct overhead, four bytes per stored row id
-// and per offset entry, plus — once materialised — four bytes per relation
-// row for the cached attribute vector. For the flat layout this is exact up
-// to the struct constant.
+// budgets against: 96 bytes of struct overhead plus four bytes per stored
+// row id and per offset entry. For the flat layout this is exact up to the
+// struct constant.
 func TestApproxBytesModel(t *testing.T) {
 	// One cluster of 10 rows: 96 + 4*(10 rows + 2 offsets).
 	if got := FromAllRows(10).ApproxBytes(); got != 144 {
@@ -25,29 +24,6 @@ func TestApproxBytesModel(t *testing.T) {
 	if got := p.ApproxBytes(); got != 132 {
 		t.Errorf("two-cluster ApproxBytes() = %d, want 132", got)
 	}
-	// Materialising the attribute vector folds it into the accounting:
-	// + 4*6 rows.
-	p.ProbeVector()
-	if got := p.ApproxBytes(); got != 156 {
-		t.Errorf("ApproxBytes() with probe = %d, want 156", got)
-	}
-}
-
-// TestCacheLedgerStableAcrossProbeMaterialization pins the snapshot-at-Put
-// semantics: a PLI whose attribute vector materialises after it was cached
-// must not corrupt the byte ledger when it is later replaced or shed —
-// evictions subtract exactly what Put added.
-func TestCacheLedgerStableAcrossProbeMaterialization(t *testing.T) {
-	c := NewMapCacheBudget(64, 1<<20)
-	s := bitset.New(0, 1)
-	p := FromAllRows(10)
-	c.Put(s, p)
-	accounted := c.Bytes()
-	p.ProbeVector() // grows ApproxBytes after the Put snapshot
-	c.Put(s, FromAllRows(10))
-	if got := c.Bytes(); got != accounted {
-		t.Errorf("Bytes() after replace = %d, want %d (ledger drifted)", got, accounted)
-	}
 }
 
 // TestMapCacheBudgetSheds fills a byte-budgeted cache past its budget and
@@ -56,22 +32,23 @@ func TestCacheLedgerStableAcrossProbeMaterialization(t *testing.T) {
 // recent store is retained.
 func TestMapCacheBudgetSheds(t *testing.T) {
 	// Each FromAllRows(10) PLI costs 144 bytes; a 300-byte budget holds two.
-	c := NewMapCacheBudget(64, 300)
+	c := newCache(1, 64, 300)
 	for i := 0; i < 5; i++ {
 		s := bitset.New(i, i+1)
-		c.Put(s, FromAllRows(10))
-		if c.Bytes() > 300 {
-			t.Fatalf("after put %d: Bytes() = %d, budget is 300", i, c.Bytes())
+		c.put(s, FromAllRows(10))
+		if b := cacheStats(c).Bytes; b > 300 {
+			t.Fatalf("after put %d: Bytes = %d, budget is 300", i, b)
 		}
-		if _, ok := c.Get(s); !ok {
+		if _, ok := c.get(s); !ok {
 			t.Fatalf("put %d was shed immediately despite fitting the budget", i)
 		}
 	}
-	if c.Len() > 2 {
-		t.Errorf("Len = %d, want <= 2 under a two-entry byte budget", c.Len())
+	st := cacheStats(c)
+	if st.Entries > 2 {
+		t.Errorf("Entries = %d, want <= 2 under a two-entry byte budget", st.Entries)
 	}
-	if _, _, evictions := c.Counters(); evictions < 3 {
-		t.Errorf("evictions = %d, want >= 3 (five puts, two slots)", evictions)
+	if st.Evictions < 3 {
+		t.Errorf("evictions = %d, want >= 3 (five puts, two slots)", st.Evictions)
 	}
 }
 
@@ -79,59 +56,86 @@ func TestMapCacheBudgetSheds(t *testing.T) {
 // larger than the whole budget is refused outright instead of evicting
 // everything else to make room that still would not suffice.
 func TestMapCacheOversizePLINeverCached(t *testing.T) {
-	c := NewMapCacheBudget(64, 200)
+	c := newCache(1, 64, 200)
 	small := bitset.New(0, 1)
-	c.Put(small, FromAllRows(10)) // 144 bytes, fits
-	c.Put(bitset.New(2, 3), FromAllRows(1000))
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (oversize PLI must be refused)", c.Len())
+	c.put(small, FromAllRows(10)) // 144 bytes, fits
+	c.put(bitset.New(2, 3), FromAllRows(1000))
+	if n := cacheStats(c).Entries; n != 1 {
+		t.Fatalf("Entries = %d, want 1 (oversize PLI must be refused)", n)
 	}
-	if _, ok := c.Get(small); !ok {
+	if _, ok := c.get(small); !ok {
 		t.Fatal("refusing the oversize PLI evicted an innocent resident entry")
 	}
-	if _, _, evictions := c.Counters(); evictions != 1 {
-		t.Errorf("evictions = %d, want 1 (the refused store)", evictions)
+	if e := cacheStats(c).Evictions; e != 1 {
+		t.Errorf("evictions = %d, want 1 (the refused store)", e)
 	}
 }
 
 // TestMapCacheBudgetReplaceAccounting replaces a key with a differently sized
-// PLI and checks the byte ledger tracks the delta, not the sum.
+// PLI and checks the byte ledger tracks the delta, not the sum — and that a
+// replacement larger than the whole budget is refused like a fresh store,
+// taking the replaced entry with it.
 func TestMapCacheBudgetReplaceAccounting(t *testing.T) {
-	c := NewMapCacheBudget(64, 1<<20)
-	s := bitset.New(0, 1)
-	c.Put(s, FromAllRows(10)) // 144
-	c.Put(s, FromAllRows(20)) // 184
-	if got := c.Bytes(); got != 184 {
-		t.Errorf("Bytes() after replace = %d, want 184", got)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1 after replacing the same key", c.Len())
+	for _, tc := range []struct {
+		budget               int64
+		first, second        int // FromAllRows sizes of the two stores
+		wantBytes            int64
+		wantEntries, wantEvs int
+	}{
+		{1 << 20, 10, 20, 184, 1, 0}, // 144 → 184 bytes
+		{200, 2, 100, 0, 0, 1},       // 112 → 504 bytes: oversize
+	} {
+		c := newCache(1, 64, tc.budget)
+		s := bitset.New(0, 1)
+		c.put(s, FromAllRows(tc.first))
+		c.put(s, FromAllRows(tc.second))
+		st := cacheStats(c)
+		if st.Bytes != tc.wantBytes || st.Entries != tc.wantEntries || st.Evictions != int64(tc.wantEvs) {
+			t.Errorf("budget %d, replace %d-row PLI with %d-row: bytes/entries/evictions = %d/%d/%d, want %d/%d/%d",
+				tc.budget, tc.first, tc.second, st.Bytes, st.Entries, st.Evictions,
+				tc.wantBytes, tc.wantEntries, tc.wantEvs)
+		}
 	}
 }
 
 // TestUnbudgetedMapCacheBytes checks byte accounting stays correct with no
 // budget set (the governor reads Bytes() for stats even when not enforcing).
 func TestUnbudgetedMapCacheBytes(t *testing.T) {
-	c := NewMapCache(64)
+	c := newCache(1, 64, -1)
 	var want int64
 	for i := 0; i < 4; i++ {
 		p := FromAllRows(10 + i)
 		want += p.ApproxBytes()
-		c.Put(bitset.New(i, i+1), p)
+		c.put(bitset.New(i, i+1), p)
 	}
-	if got := c.Bytes(); got != want {
-		t.Errorf("Bytes() = %d, want %d", got, want)
+	if got := cacheStats(c).Bytes; got != want {
+		t.Errorf("Bytes = %d, want %d", got, want)
 	}
 }
 
-// TestMapCacheBudgetDefault checks the sentinel: a negative budget selects
-// DefaultCacheBytes, zero disables budgeting.
+// TestMapCacheBudgetDefault checks the byte-budget sentinel shared with
+// core.Options.MaxCacheBytes: zero selects DefaultCacheBytes, a negative
+// budget disables budgeting (a shard's 0), and the budget is split equally
+// across the shards.
 func TestMapCacheBudgetDefault(t *testing.T) {
-	if c := NewMapCacheBudget(0, -1); c.maxBytes != DefaultCacheBytes {
-		t.Errorf("maxBytes = %d, want DefaultCacheBytes", c.maxBytes)
-	}
-	if c := NewMapCacheBudget(0, 0); c.maxBytes != 0 {
-		t.Errorf("maxBytes = %d, want 0 (no budget)", c.maxBytes)
+	for _, tc := range []struct {
+		workers   int
+		maxBytes  int64
+		wantShard int64
+	}{
+		{1, 0, DefaultCacheBytes},
+		{1, -1, 0},
+		{1, 500, 500},
+		{4, 0, DefaultCacheBytes / 4},
+		{4, -1, 0},
+	} {
+		c := newCache(tc.workers, 0, tc.maxBytes)
+		for i := range c.shards {
+			if got := c.shards[i].maxBytes; got != tc.wantShard {
+				t.Errorf("newCache(%d, 0, %d): shard %d budget %d, want %d",
+					tc.workers, tc.maxBytes, i, got, tc.wantShard)
+			}
+		}
 	}
 }
 
@@ -140,14 +144,15 @@ func TestMapCacheBudgetDefault(t *testing.T) {
 // configured total.
 func TestShardedCacheBudgetSplit(t *testing.T) {
 	const budget = 4 << 10
-	c := NewShardedCacheBudget(4, 1<<10, budget)
+	c := newCache(4, 1<<10, budget)
 	for i := 0; i < 200; i++ {
-		c.Put(bitset.New(i%32, i%32+1+i/32), FromAllRows(50))
+		c.put(bitset.New(i%32, i%32+1+i/32), FromAllRows(50))
 	}
-	if got := c.Bytes(); got <= 0 || got > budget {
-		t.Errorf("aggregate Bytes() = %d, want in (0, %d]", got, budget)
+	st := cacheStats(c)
+	if st.Bytes <= 0 || st.Bytes > budget {
+		t.Errorf("aggregate Bytes = %d, want in (0, %d]", st.Bytes, budget)
 	}
-	if _, _, evictions := c.Counters(); evictions == 0 {
+	if st.Evictions == 0 {
 		t.Error("no evictions despite overflowing the byte budget")
 	}
 }

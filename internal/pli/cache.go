@@ -1,42 +1,13 @@
 package pli
 
 import (
-	"runtime"
 	"sync"
 
 	"holistic/internal/bitset"
+	"holistic/internal/parallel"
 )
 
-// Cache is the pluggable storage behind a Provider's multi-column PLIs. The
-// single-column PLIs and the empty-set PLI live outside the cache and are
-// never evicted; a Cache only sees sets with two or more columns.
-//
-// Implementations count their own probe outcomes so that eviction policies
-// can be compared without touching the Provider: Counters reports how many
-// Get calls hit, how many missed, and how many entries eviction dropped. A
-// probe is one Get call — the Provider probes subsets while assembling a PLI,
-// so misses exceed the number of distinct sets requested by callers.
-type Cache interface {
-	// Get returns the cached PLI of s, if present.
-	Get(s bitset.Set) (*PLI, bool)
-	// Put stores the PLI of s, evicting other entries if needed.
-	Put(s bitset.Set, pli *PLI)
-	// Len returns the number of cached entries.
-	Len() int
-	// Bytes returns the approximate heap bytes held by the cached PLIs
-	// (see PLI.ApproxBytes). It is what the memory governor budgets.
-	Bytes() int64
-	// Counters returns the accumulated hit/miss/eviction counts.
-	Counters() (hits, misses, evictions int64)
-	// ForEach visits every cached entry until fn returns false. It exists so
-	// incremental maintenance can patch cached PLIs in place after a
-	// relation append. fn must not call back into the cache (concurrent
-	// implementations hold their locks during the walk); iteration order is
-	// unspecified. Hit/miss counters are not touched.
-	ForEach(fn func(s bitset.Set, pli *PLI) bool)
-}
-
-// DefaultCacheBytes is the default byte budget of a budgeted cache: enough
+// DefaultCacheBytes is the default byte budget of a Provider's cache: enough
 // for the paper's workloads, small enough that a hostile wide relation
 // degrades to recomputation instead of OOM-killing the process.
 const DefaultCacheBytes = 256 << 20
@@ -48,11 +19,14 @@ const DefaultCacheBytes = 256 << 20
 // so per-job cache statistics can ride along in serialized profiling
 // results and progress-event streams.
 type CacheStats struct {
-	// Hits and Misses count cache probes (see Cache.Counters).
+	// Hits and Misses count cache probes. A probe is one lookup of a
+	// multi-column set — the Provider probes subsets while planning a check,
+	// so misses exceed the number of distinct sets asked about.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Evictions counts entries dropped by the eviction policy (entry-count
-	// pressure and byte-budget shedding both land here).
+	// pressure, byte-budget shedding and refused oversize stores all land
+	// here).
 	Evictions int64 `json:"evictions"`
 	// Entries is the current number of cached multi-column PLIs.
 	Entries int `json:"entries"`
@@ -79,283 +53,197 @@ type CacheStats struct {
 	SampledRefutations int64 `json:"sampled_refutations,omitempty"`
 }
 
-// MapCache is the default Cache: a bounded map with a cheap random-replacement
-// policy. When the entry bound is reached, roughly half the entries are
-// dropped; map iteration order is effectively random, which serves as the
-// replacement choice. An optional byte budget (NewMapCacheBudget) additionally
-// bounds the approximate heap held by the cached PLIs: stores that would
-// exceed it shed other entries first, and a PLI larger than the whole budget
-// is never cached at all — the Provider then recomputes it on demand, trading
-// time for bounded memory. It is not safe for concurrent use; a Provider
-// shared across goroutines uses a ShardedCache instead.
-type MapCache struct {
-	entries    map[bitset.Set]cacheEntry
+// cache stores a Provider's multi-column PLIs. The single-column PLIs and
+// the empty-set PLI live outside it and are never evicted; the cache only
+// sees sets with two or more columns.
+//
+// It is a power-of-two set of shards chosen by bitset.Set.Hash, so repeated
+// probes of one combination always land on the same shard and eviction
+// pressure stays local to hot shards. Each shard is a bounded map with a
+// cheap random-replacement policy and an optional byte budget; the entry
+// bound and the budget are split equally across the shards. A one-shard
+// cache takes no lock and is single-goroutine only; a multi-shard cache
+// locks the probed shard, so concurrent workers probing disjoint
+// combinations rarely contend.
+type cache struct {
+	shards []shard
+	mask   uint64 // len(shards)-1; 0 = one unlocked shard
+}
+
+// shard is one bounded map of the cache. When the entry bound is reached,
+// roughly half the entries are dropped; map iteration order is effectively
+// random, which serves as the replacement choice. Under a byte budget,
+// stores that would exceed it shed other entries first, and a PLI larger
+// than the whole budget is never cached at all — the Provider then
+// recomputes it on demand, trading time for bounded memory. PLIs are
+// immutable, so an entry's ApproxBytes is the same at eviction as at Put.
+type shard struct {
+	mu         sync.Mutex
+	entries    map[bitset.Set]*PLI
 	maxEntries int
 	maxBytes   int64 // 0 = no byte budget
 	bytes      int64
 
 	hits, misses, evictions int64
+
+	// Pad shards apart so two cores probing neighbouring shards do not
+	// false-share the mutex and counter words.
+	_ [64]byte
 }
 
-// cacheEntry pins the byte size accounted at Put time next to the PLI. A
-// PLI's ApproxBytes can grow later (the probe vector materialises lazily),
-// so evictions must subtract exactly what Put added — the pinned size —
-// or the ledger would drift.
-type cacheEntry struct {
-	pli   *PLI
-	bytes int64
-}
-
-// NewMapCache builds a MapCache bounded to maxEntries cached PLIs with no
-// byte budget. maxEntries <= 0 selects DefaultCacheEntries.
-func NewMapCache(maxEntries int) *MapCache {
-	return NewMapCacheBudget(maxEntries, 0)
-}
-
-// NewMapCacheBudget builds a MapCache bounded to maxEntries cached PLIs and
-// approximately maxBytes of cached PLI heap (0 = no byte budget; < 0 selects
-// DefaultCacheBytes).
-func NewMapCacheBudget(maxEntries int, maxBytes int64) *MapCache {
-	if maxEntries <= 0 {
-		maxEntries = DefaultCacheEntries
-	}
-	if maxBytes < 0 {
-		maxBytes = DefaultCacheBytes
-	}
-	return &MapCache{
-		entries:    make(map[bitset.Set]cacheEntry),
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-	}
-}
-
-// Get implements Cache.
-func (c *MapCache) Get(s bitset.Set) (*PLI, bool) {
-	e, ok := c.entries[s]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return e.pli, ok
-}
-
-// Put implements Cache, evicting roughly half the entries when the entry
-// bound is hit and shedding entries when the byte budget is exceeded. The
-// stored PLI's size is snapshotted here (see cacheEntry).
-func (c *MapCache) Put(s bitset.Set, pli *PLI) {
-	sz := pli.ApproxBytes()
-	if old, ok := c.entries[s]; ok {
-		c.bytes += sz - old.bytes
-		c.entries[s] = cacheEntry{pli: pli, bytes: sz}
-		c.shedOver(s)
-		return
-	}
-	if c.maxBytes > 0 && sz > c.maxBytes {
-		// This single PLI would blow the whole budget: never cache it. The
-		// Provider recomputes it when needed — slower, never OOM.
-		c.evictions++
-		return
-	}
-	if len(c.entries) >= c.maxEntries {
-		drop := len(c.entries) / 2
-		for k, v := range c.entries {
-			if drop == 0 {
-				break
-			}
-			c.bytes -= v.bytes
-			delete(c.entries, k)
-			c.evictions++
-			drop--
-		}
-	}
-	c.entries[s] = cacheEntry{pli: pli, bytes: sz}
-	c.bytes += sz
-	c.shedOver(s)
-}
-
-// shedOver drops entries (never keep itself) until the byte budget holds
-// again. Map iteration order serves as the random replacement choice, as in
-// the entry-bound eviction.
-func (c *MapCache) shedOver(keep bitset.Set) {
-	if c.maxBytes <= 0 {
-		return
-	}
-	for k, v := range c.entries {
-		if c.bytes <= c.maxBytes {
-			return
-		}
-		if k == keep {
-			continue
-		}
-		c.bytes -= v.bytes
-		delete(c.entries, k)
-		c.evictions++
-	}
-}
-
-// Len implements Cache.
-func (c *MapCache) Len() int { return len(c.entries) }
-
-// Bytes implements Cache.
-func (c *MapCache) Bytes() int64 { return c.bytes }
-
-// Counters implements Cache.
-func (c *MapCache) Counters() (hits, misses, evictions int64) {
-	return c.hits, c.misses, c.evictions
-}
-
-// ForEach implements Cache (map order, i.e. unspecified).
-func (c *MapCache) ForEach(fn func(s bitset.Set, pli *PLI) bool) {
-	for k, v := range c.entries {
-		if !fn(k, v.pli) {
-			return
-		}
-	}
-}
-
-// ShardedCache spreads entries over a power-of-two number of independently
-// locked shards, so concurrent workers probing disjoint column combinations
-// rarely contend on the same mutex. Each shard is its own bounded MapCache
-// with its own counters; Counters and Len aggregate across shards, which is
-// how the per-shard counts surface in a Provider's CacheStats.
-//
-// The shard of a set is chosen by bitset.Set.Hash, so repeated probes of the
-// same combination always hit the same shard and eviction pressure stays
-// local to hot shards.
-type ShardedCache struct {
-	shards []shard
-	mask   uint64
-}
-
-type shard struct {
-	mu    sync.Mutex
-	inner *MapCache
-	// Pad shards to their own cache lines so two cores probing neighbouring
-	// shards do not false-share the mutex words.
-	_ [40]byte
-}
-
-// NewShardedCache builds a ShardedCache with at least shardCount shards
-// (rounded up to a power of two; <= 0 selects the next power of two above
-// runtime.GOMAXPROCS). maxEntries bounds the total cached PLIs across all
-// shards (<= 0 selects DefaultCacheEntries); each shard is bounded to its
-// equal split of the total. No byte budget is applied.
-func NewShardedCache(shardCount, maxEntries int) *ShardedCache {
-	return NewShardedCacheBudget(shardCount, maxEntries, 0)
-}
-
-// NewShardedCacheBudget builds a ShardedCache whose entry bound and byte
-// budget are both split equally across the shards (maxBytes 0 = no byte
-// budget; < 0 selects DefaultCacheBytes). Shedding pressure therefore stays
-// local to hot shards, like entry eviction.
-func NewShardedCacheBudget(shardCount, maxEntries int, maxBytes int64) *ShardedCache {
-	if shardCount <= 0 {
-		shardCount = runtime.GOMAXPROCS(0)
-	}
+// newCache builds a cache with the next power of two >= parallel.Workers(
+// workers) shards. maxEntries bounds the total cached PLIs (<= 0 selects
+// DefaultCacheEntries); maxBytes budgets their approximate heap (0 selects
+// DefaultCacheBytes, < 0 disables the byte budget).
+func newCache(workers, maxEntries int, maxBytes int64) *cache {
 	n := 1
-	for n < shardCount {
+	for n < parallel.Workers(workers) {
 		n <<= 1
 	}
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheEntries
 	}
-	if maxBytes < 0 {
+	switch {
+	case maxBytes == 0:
 		maxBytes = DefaultCacheBytes
+	case maxBytes < 0:
+		maxBytes = 0
 	}
-	perShard := maxEntries / n
-	if perShard < 1 {
-		perShard = 1
-	}
+	perShard := max(maxEntries/n, 1)
 	perShardBytes := maxBytes / int64(n)
 	if maxBytes > 0 && perShardBytes < 1 {
 		perShardBytes = 1
 	}
-	c := &ShardedCache{shards: make([]shard, n), mask: uint64(n - 1)}
+	c := &cache{shards: make([]shard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
-		c.shards[i].inner = NewMapCacheBudget(perShard, perShardBytes)
+		c.shards[i].entries = make(map[bitset.Set]*PLI)
+		c.shards[i].maxEntries = perShard
+		c.shards[i].maxBytes = perShardBytes
 	}
 	return c
 }
 
-// NumShards returns the number of shards (a power of two).
-func (c *ShardedCache) NumShards() int { return len(c.shards) }
-
-func (c *ShardedCache) shardFor(s bitset.Set) *shard {
-	return &c.shards[s.Hash()&c.mask]
-}
-
-// Get implements Cache.
-func (c *ShardedCache) Get(s bitset.Set) (*PLI, bool) {
-	sh := c.shardFor(s)
+// get returns the cached PLI of s, if present.
+func (c *cache) get(s bitset.Set) (*PLI, bool) {
+	if c.mask == 0 {
+		return c.shards[0].get(s)
+	}
+	sh := &c.shards[s.Hash()&c.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.inner.Get(s)
+	return sh.get(s)
 }
 
-// Put implements Cache.
-func (c *ShardedCache) Put(s bitset.Set, pli *PLI) {
-	sh := c.shardFor(s)
+// put stores the PLI of s, evicting other entries if needed.
+func (c *cache) put(s bitset.Set, pli *PLI) {
+	if c.mask == 0 {
+		c.shards[0].put(s, pli)
+		return
+	}
+	sh := &c.shards[s.Hash()&c.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.inner.Put(s, pli)
+	sh.put(s, pli)
 }
 
-// Len implements Cache, summing the shard sizes.
-func (c *ShardedCache) Len() int {
-	total := 0
+// stats fills the cache's share of a CacheStats snapshot: probe counters,
+// entry count and byte ledger, summed over the shards.
+func (c *cache) stats(st *CacheStats) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		total += sh.inner.Len()
+		st.Hits += sh.hits
+		st.Misses += sh.misses
+		st.Evictions += sh.evictions
+		st.Entries += len(sh.entries)
+		st.Bytes += sh.bytes
 		sh.mu.Unlock()
 	}
-	return total
 }
 
-// Bytes implements Cache, summing the shard byte counts.
-func (c *ShardedCache) Bytes() int64 {
-	var total int64
+// entry is one cached set and its PLI, as handed out by drain.
+type entry struct {
+	set bitset.Set
+	pli *PLI
+}
+
+// drain removes every entry and returns them, leaving the probe and
+// eviction counters untouched. It exists so Refresh can re-Put patched PLIs
+// into an empty cache: a dropped re-Put then leaves a miss, never the stale
+// pre-append PLI.
+func (c *cache) drain() []entry {
+	var out []entry
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		total += sh.inner.Bytes()
+		for s, pli := range sh.entries {
+			out = append(out, entry{s, pli})
+		}
+		clear(sh.entries)
+		sh.bytes = 0
 		sh.mu.Unlock()
 	}
-	return total
+	return out
 }
 
-// ForEach implements Cache, walking the shards in order (each shard's mutex
-// is held while it is walked, so fn must not call back into the cache).
-func (c *ShardedCache) ForEach(fn func(s bitset.Set, pli *PLI) bool) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		done := false
-		sh.inner.ForEach(func(s bitset.Set, pli *PLI) bool {
-			if !fn(s, pli) {
-				done = true
-				return false
+func (sh *shard) get(s bitset.Set) (*PLI, bool) {
+	pli, ok := sh.entries[s]
+	if ok {
+		sh.hits++
+	} else {
+		sh.misses++
+	}
+	return pli, ok
+}
+
+// put evicts roughly half the entries when the entry bound is hit and sheds
+// entries when the byte budget is exceeded. A replaced entry is retired
+// first, so the new PLI passes the same oversize refusal as a fresh store.
+func (sh *shard) put(s bitset.Set, pli *PLI) {
+	if old, ok := sh.entries[s]; ok {
+		sh.bytes -= old.ApproxBytes()
+		delete(sh.entries, s)
+	}
+	sz := pli.ApproxBytes()
+	if sh.maxBytes > 0 && sz > sh.maxBytes {
+		// This single PLI would blow the whole budget: never cache it. The
+		// Provider recomputes it when needed — slower, never OOM.
+		sh.evictions++
+		return
+	}
+	if len(sh.entries) >= sh.maxEntries {
+		drop := len(sh.entries) / 2
+		for k, v := range sh.entries {
+			if drop == 0 {
+				break
 			}
-			return true
-		})
-		sh.mu.Unlock()
-		if done {
-			return
+			sh.bytes -= v.ApproxBytes()
+			delete(sh.entries, k)
+			sh.evictions++
+			drop--
 		}
 	}
+	sh.entries[s] = pli
+	sh.bytes += sz
+	sh.shedOver(s)
 }
 
-// Counters implements Cache, aggregating the per-shard counters.
-func (c *ShardedCache) Counters() (hits, misses, evictions int64) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		h, m, e := sh.inner.Counters()
-		sh.mu.Unlock()
-		hits += h
-		misses += m
-		evictions += e
+// shedOver drops entries (never keep itself) until the byte budget holds
+// again. Map iteration order serves as the random replacement choice, as in
+// the entry-bound eviction.
+func (sh *shard) shedOver(keep bitset.Set) {
+	if sh.maxBytes <= 0 {
+		return
 	}
-	return hits, misses, evictions
+	for k, v := range sh.entries {
+		if sh.bytes <= sh.maxBytes {
+			return
+		}
+		if k == keep {
+			continue
+		}
+		sh.bytes -= v.ApproxBytes()
+		delete(sh.entries, k)
+		sh.evictions++
+	}
 }

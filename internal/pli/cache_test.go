@@ -24,78 +24,81 @@ func cacheTestRelation(t *testing.T) *relation.Relation {
 	return r
 }
 
+// The TestMapCache* tests exercise a one-shard cache (one worker, no lock)
+// and the TestShardedCache* tests a multi-shard one; the names predate the
+// single cache type and are kept so the suites stay recognisable.
+
+// cacheStats snapshots the cache-owned CacheStats fields of c.
+func cacheStats(c *cache) CacheStats {
+	var st CacheStats
+	c.stats(&st)
+	return st
+}
+
 func TestMapCacheCounters(t *testing.T) {
-	c := NewMapCache(4)
+	c := newCache(1, 4, -1)
 	s := bitset.New(0, 1)
-	if _, ok := c.Get(s); ok {
+	if _, ok := c.get(s); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
-	c.Put(s, FromAllRows(3))
-	if _, ok := c.Get(s); !ok {
-		t.Fatal("expected hit after Put")
+	c.put(s, FromAllRows(3))
+	if _, ok := c.get(s); !ok {
+		t.Fatal("expected hit after put")
 	}
-	hits, misses, evictions := c.Counters()
-	if hits != 1 || misses != 1 || evictions != 0 {
-		t.Fatalf("counters = %d/%d/%d, want 1/1/0", hits, misses, evictions)
+	if st := cacheStats(c); st.Hits != 1 || st.Misses != 1 || st.Evictions != 0 {
+		t.Fatalf("counters = %d/%d/%d, want 1/1/0", st.Hits, st.Misses, st.Evictions)
 	}
 }
 
 func TestMapCacheEviction(t *testing.T) {
-	c := NewMapCache(4)
+	c := newCache(1, 4, -1)
 	for i := 0; i < 4; i++ {
-		c.Put(bitset.New(i, i+1), FromAllRows(2))
+		c.put(bitset.New(i, i+1), FromAllRows(2))
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", c.Len())
+	if n := cacheStats(c).Entries; n != 4 {
+		t.Fatalf("Entries = %d, want 4", n)
 	}
-	// The fifth Put drops half the entries before inserting.
-	c.Put(bitset.New(10, 11), FromAllRows(2))
-	if c.Len() != 3 {
-		t.Fatalf("Len after eviction = %d, want 3", c.Len())
+	// The fifth put drops half the entries before inserting.
+	c.put(bitset.New(10, 11), FromAllRows(2))
+	st := cacheStats(c)
+	if st.Entries != 3 {
+		t.Fatalf("Entries after eviction = %d, want 3", st.Entries)
 	}
-	if _, _, evictions := c.Counters(); evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", evictions)
+	if st.Evictions != 2 {
+		t.Fatalf("evictions = %d, want 2", st.Evictions)
 	}
 }
 
 func TestMapCacheDefaultBound(t *testing.T) {
-	if c := NewMapCache(0); c.maxEntries != DefaultCacheEntries {
-		t.Fatalf("maxEntries = %d, want %d", c.maxEntries, DefaultCacheEntries)
+	if c := newCache(1, 0, 0); c.shards[0].maxEntries != DefaultCacheEntries {
+		t.Fatalf("maxEntries = %d, want %d", c.shards[0].maxEntries, DefaultCacheEntries)
 	}
 }
 
-// TestProviderCacheStats checks that the snapshot agrees with the Provider's
-// own counters: Entries matches CachedEntries, Intersections matches the
-// atomic counter, and repeated Gets turn into hits.
+// TestProviderCacheStats checks that the snapshot reflects the Provider's
+// admissions: a refuted IsUnique probe misses and admits its PLI, and
+// repeating it turns into a hit without a new materialization.
 func TestProviderCacheStats(t *testing.T) {
-	p := NewProvider(cacheTestRelation(t), 8)
-	s := bitset.New(0, 1, 2)
-	p.Get(s)
-	first := p.CacheStats()
-	if first.Intersections != p.IntersectionCount() {
-		t.Errorf("Intersections = %d, want %d", first.Intersections, p.IntersectionCount())
+	rel := cacheTestRelation(t)
+	p := NewProvider(rel, 1, 8, 0)
+	s := bitset.New(2, 3) // rows 0 and 4 agree on C, D
+	if p.IsUnique(s) {
+		t.Fatalf("%v must not be unique", s)
 	}
-	if first.Entries != p.CachedEntries() {
-		t.Errorf("Entries = %d, want %d", first.Entries, p.CachedEntries())
+	first := p.CacheStats()
+	if first.Entries != 1 || first.Materializations != 1 || first.Bytes != setPLI(rel, s).ApproxBytes() {
+		t.Errorf("refuted probe of %v: want one admitted entry, got %+v", s, first)
 	}
 	if first.Hits != 0 || first.Misses == 0 {
-		t.Errorf("first Get of %v must only miss, got %+v", s, first)
+		t.Errorf("first probe of %v must only miss, got %+v", s, first)
 	}
-	p.Get(s)
+	p.IsUnique(s)
 	second := p.CacheStats()
 	if second.Hits != first.Hits+1 {
-		t.Errorf("repeated Get: hits %d, want %d", second.Hits, first.Hits+1)
+		t.Errorf("repeated probe: hits %d, want %d", second.Hits, first.Hits+1)
 	}
-	if second.Intersections != first.Intersections {
-		t.Errorf("repeated Get recomputed: %d intersections, want %d", second.Intersections, first.Intersections)
-	}
-}
-
-// TestProviderWithNilCache verifies the default-cache fallback.
-func TestProviderWithNilCache(t *testing.T) {
-	p := NewProviderWithCache(cacheTestRelation(t), nil)
-	if !p.IsUnique(bitset.New(0, 1)) {
-		t.Error("A,B must be unique")
+	if second.Materializations != first.Materializations {
+		t.Errorf("repeated probe recomputed: %d materializations, want %d", second.Materializations, first.Materializations)
 	}
 }
 
@@ -104,38 +107,44 @@ func TestShardedCachePowerOfTwoShards(t *testing.T) {
 		1: {1}, 2: {2}, 4: {3, 4}, 8: {5, 6, 7, 8}, 16: {9, 15, 16},
 	} {
 		for _, n := range counts {
-			if got := NewShardedCache(n, 0).NumShards(); got != want {
-				t.Errorf("NewShardedCache(%d): %d shards, want %d", n, got, want)
+			if got := len(newCache(n, 0, 0).shards); got != want {
+				t.Errorf("newCache(%d): %d shards, want %d", n, got, want)
 			}
 		}
 	}
 }
 
-// TestShardedCacheBasics checks the Cache contract: probes route to a stable
+// TestShardedCacheBasics checks the cache contract: probes route to a stable
 // shard, counters aggregate, and the total bound is split across shards.
 func TestShardedCacheBasics(t *testing.T) {
-	c := NewShardedCache(4, 64)
+	c := newCache(4, 64, -1)
 	s := bitset.New(0, 1)
-	if _, ok := c.Get(s); ok {
+	if _, ok := c.get(s); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
-	c.Put(s, FromAllRows(3))
-	if got, ok := c.Get(s); !ok || got == nil {
-		t.Fatal("expected hit after Put")
+	c.put(s, FromAllRows(3))
+	if got, ok := c.get(s); !ok || got == nil {
+		t.Fatal("expected hit after put")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	st := cacheStats(c)
+	if st.Entries != 1 {
+		t.Fatalf("Entries = %d, want 1", st.Entries)
 	}
-	hits, misses, evictions := c.Counters()
-	if hits != 1 || misses != 1 || evictions != 0 {
-		t.Fatalf("counters = %d/%d/%d, want 1/1/0", hits, misses, evictions)
+	if st.Hits != 1 || st.Misses != 1 || st.Evictions != 0 {
+		t.Fatalf("counters = %d/%d/%d, want 1/1/0", st.Hits, st.Misses, st.Evictions)
+	}
+	for i := range c.shards {
+		if c.shards[i].maxEntries != 16 {
+			t.Fatalf("shard %d bound = %d, want 64/4", i, c.shards[i].maxEntries)
+		}
 	}
 }
 
-// TestShardedCacheConcurrent hammers a ShardedCache from several goroutines;
-// run under -race this proves a Provider backed by it is shareable.
+// TestShardedCacheConcurrent hammers a multi-shard cache from several
+// goroutines; run under -race this proves a Provider backed by it is
+// shareable.
 func TestShardedCacheConcurrent(t *testing.T) {
-	c := NewShardedCache(8, 256)
+	c := newCache(8, 256, -1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -143,36 +152,35 @@ func TestShardedCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				s := bitset.New(i%6, i%6+1+g%3)
-				if _, ok := c.Get(s); !ok {
-					c.Put(s, FromAllRows(2))
+				if _, ok := c.get(s); !ok {
+					c.put(s, FromAllRows(2))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	hits, misses, _ := c.Counters()
-	if hits+misses != 8*200 {
-		t.Fatalf("probes = %d, want %d", hits+misses, 8*200)
+	if st := cacheStats(c); st.Hits+st.Misses != 8*200 {
+		t.Fatalf("probes = %d, want %d", st.Hits+st.Misses, 8*200)
 	}
 }
 
-// TestConcurrentProviderSharedGets shares one concurrent Provider across
+// TestConcurrentProviderSharedGets shares one multi-worker Provider across
 // goroutines probing overlapping column combinations; under -race this
 // exercises the Provider's documented concurrency contract end to end
-// (sharded cache puts, atomic intersection counting).
+// (sharded cache puts, atomic counters).
 func TestConcurrentProviderSharedGets(t *testing.T) {
 	rel := cacheTestRelation(t)
-	p := NewConcurrentProvider(rel, 0, 8)
-	want := NewProvider(rel, 0)
+	p := NewProvider(rel, 8, 0, 0)
 	combos := []bitset.Set{
-		bitset.New(0, 1), bitset.New(0, 2), bitset.New(1, 2),
+		bitset.New(0, 1), bitset.New(0, 2), bitset.New(1, 2), bitset.New(2, 3),
 		bitset.New(0, 1, 2), bitset.New(1, 2, 3), bitset.New(0, 1, 2, 3),
 	}
-	// The sequential reference provider is not shareable; resolve the
-	// expected distinct counts before spawning the workers.
+	// Resolve the expected answers before spawning the workers.
 	wantCounts := make([]int, len(combos))
+	wantUnique := make([]bool, len(combos))
 	for i, s := range combos {
-		wantCounts[i] = want.Get(s).DistinctCount()
+		ref := setPLI(rel, s)
+		wantCounts[i], wantUnique[i] = ref.DistinctCount(), ref.IsUnique()
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -180,16 +188,20 @@ func TestConcurrentProviderSharedGets(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s := combos[i%len(combos)]
-				if got := p.Get(s).DistinctCount(); got != wantCounts[i%len(combos)] {
-					t.Errorf("Get(%v).DistinctCount = %d, want %d", s, got, wantCounts[i%len(combos)])
+				j := i % len(combos)
+				if got := p.Cardinality(combos[j]); got != wantCounts[j] {
+					t.Errorf("Cardinality(%v) = %d, want %d", combos[j], got, wantCounts[j])
+					return
+				}
+				if got := p.IsUnique(combos[j]); got != wantUnique[j] {
+					t.Errorf("IsUnique(%v) = %v, want %v", combos[j], got, wantUnique[j])
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if p.IntersectionCount() == 0 {
-		t.Error("no intersections recorded")
+	if p.CacheStats().FastChecks == 0 {
+		t.Error("no checks recorded")
 	}
 }

@@ -11,7 +11,7 @@ package pli
 // is what makes the early exits cheap — CheckUnique returns on the first
 // surviving group, CheckRefines on the first group that is not constant in
 // the RHS column, after folding only a prefix of the clusters. Grouping uses
-// the same counts/starts/touched arenas as intersectKeyed plus two ping-pong
+// the same counts/starts/touched arenas as IntersectColumn plus two ping-pong
 // row buffers sized to the largest cluster (Scratch.ensureFold); in the
 // steady state a check performs zero allocations.
 //
@@ -435,7 +435,7 @@ func (p *PLI) CheckErrorSum(keys [][]int32, cards []int, s *Scratch) int {
 // allocation — instead of the len(keys) chained IntersectColumn calls the
 // materializing path would make. Group order matches the chained
 // materialisation exactly (see the fold contract), so the result is
-// indistinguishable from Get's. It backs the provider's adaptive admission:
+// indistinguishable from the chain's. It backs the provider's adaptive admission:
 // when a refuted check proves a set worth caching, the stepping stone is
 // built at roughly the cost of a single intersection regardless of fold
 // depth.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -43,17 +42,34 @@ func checkRelation(t testing.TB, rows, nCols, card int, seed int64) *relation.Re
 	return relation.MustNew("check", names, data)
 }
 
+// setPLI materialises the PLI of the column set s the reference way: the
+// chainIntersect fold of s's columns over the all-rows PLI.
+func setPLI(rel *relation.Relation, s bitset.Set) *PLI {
+	keys, cards := relKeys(rel, s.Columns()...)
+	return chainIntersect(FromAllRows(rel.NumRows()), keys, cards)
+}
+
 // refCheckFDs is the materializing reference for Provider.CheckFDs: RHS
-// verdicts read directly off the Get-built PLI.
-func refCheckFDs(ref *Provider, s bitset.Set, rhs bitset.Set) bitset.Set {
+// verdicts read directly off the chain-built PLI.
+func refCheckFDs(rel *relation.Relation, s bitset.Set, rhs bitset.Set) bitset.Set {
 	valid := rhs.Intersect(s)
-	pli := ref.Get(s)
+	pli := setPLI(rel, s)
 	for a := rhs.Diff(s).First(); a >= 0; a = rhs.Diff(s).NextAfter(a) {
-		if pli.Refines(ref.Relation().Column(a)) {
+		if pli.Refines(rel.Column(a)) {
 			valid = valid.With(a)
 		}
 	}
 	return valid
+}
+
+// refinesEach is the reference for CheckRefinesMany: one Refines per
+// candidate, false for nil-skipped slots.
+func refinesEach(p *PLI, cands [][]int32) []bool {
+	ok := make([]bool, len(cands))
+	for i, c := range cands {
+		ok[i] = c != nil && p.Refines(c)
+	}
+	return ok
 }
 
 func relKeys(rel *relation.Relation, cols ...int) ([][]int32, []int) {
@@ -105,7 +121,7 @@ func TestCheckKernelsAgainstChain(t *testing.T) {
 			cands[sh.nCols-1] = nil
 			ok := make([]bool, len(cands))
 			base.CheckRefinesMany(cands, keys, cards, ok, nil)
-			if want := ref.RefinesEach(cands); !reflect.DeepEqual(ok, want) {
+			if want := refinesEach(ref, cands); !reflect.DeepEqual(ok, want) {
 				t.Errorf("%+v depth %d: CheckRefinesMany = %v, want %v", sh, depth, ok, want)
 			}
 			// Group enumeration must match the materialised clusters.
@@ -126,13 +142,11 @@ func TestCheckKernelsAgainstChain(t *testing.T) {
 }
 
 // TestProviderFastPathsAgainstGet compares every Provider fast path with the
-// materializing Get reference over all column subsets of a small relation —
-// on the same provider (fast first, then Get, so promotions are in play) and
-// across admission states.
+// chain-materialised reference PLI over all column subsets of a small
+// relation, in shuffled order so promotions and admissions are in play.
 func TestProviderFastPathsAgainstGet(t *testing.T) {
 	rel := checkRelation(t, 300, 5, 4, 7)
-	fast := NewProvider(rel, 0)
-	ref := NewProvider(rel, 0)
+	fast := NewProvider(rel, 1, 0, 0)
 
 	n := rel.NumColumns()
 	var sets []bitset.Set
@@ -149,8 +163,12 @@ func TestProviderFastPathsAgainstGet(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	rnd.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
 
+	multiColumn := 0
 	for _, s := range sets {
-		refPLI := ref.Get(s)
+		if s.Len() >= 2 {
+			multiColumn++
+		}
+		refPLI := setPLI(rel, s)
 		if got, want := fast.IsUnique(s), refPLI.IsUnique(); got != want {
 			t.Fatalf("IsUnique(%v) = %v, want %v", s, got, want)
 		}
@@ -162,18 +180,10 @@ func TestProviderFastPathsAgainstGet(t *testing.T) {
 				t.Fatalf("CheckFD(%v, %d) = %v, want %v", s, a, got, want)
 			}
 		}
-		if got, want := fast.CheckFDs(s, rel.AllColumns()), refCheckFDs(ref, s, rel.AllColumns()); got != want {
+		if got, want := fast.CheckFDs(s, rel.AllColumns()), refCheckFDs(rel, s, rel.AllColumns()); got != want {
 			t.Fatalf("CheckFDs(%v) = %v, want %v", s, got, want)
 		}
-		var clusters [][]int32
-		fast.ForEachCluster(s, func(c []int32) bool {
-			cc := append([]int32(nil), c...)
-			sort.Slice(cc, func(i, j int) bool { return cc[i] < cc[j] })
-			clusters = append(clusters, cc)
-			return true
-		})
-		sort.Slice(clusters, func(i, j int) bool { return clusters[i][0] < clusters[j][0] })
-		if want := canon(refPLI); !reflect.DeepEqual(clusters, want) {
+		if !reflect.DeepEqual(providerClusters(fast, s), canon(refPLI)) {
 			t.Fatalf("ForEachCluster(%v) diverges", s)
 		}
 	}
@@ -183,10 +193,10 @@ func TestProviderFastPathsAgainstGet(t *testing.T) {
 		t.Error("fast provider reports zero FastChecks")
 	}
 	// Admission control: the fast provider must have admitted strictly fewer
-	// entries than Get's cache-every-set policy.
-	if fast.CachedEntries() >= ref.CachedEntries() {
-		t.Errorf("fast path admitted %d entries, reference Get %d — admission control ineffective",
-			fast.CachedEntries(), ref.CachedEntries())
+	// entries than a cache-every-set policy would hold.
+	if st.Entries >= multiColumn {
+		t.Errorf("fast path admitted %d entries for %d multi-column sets — admission control ineffective",
+			st.Entries, multiColumn)
 	}
 }
 
@@ -197,9 +207,8 @@ func TestProviderFastPathsAgainstGet(t *testing.T) {
 func TestSampledPrefilterEquivalence(t *testing.T) {
 	for _, stride := range []int{2, 4, 8} {
 		rel := checkRelation(t, 400, 5, 3, int64(stride))
-		sampled := NewProvider(rel, 0)
+		sampled := NewProvider(rel, 1, 0, 0)
 		sampled.enableSampling(stride)
-		ref := NewProvider(rel, 0)
 
 		n := rel.NumColumns()
 		for m := 1; m < 1<<n; m++ {
@@ -209,7 +218,7 @@ func TestSampledPrefilterEquivalence(t *testing.T) {
 					s = s.With(c)
 				}
 			}
-			refPLI := ref.Get(s)
+			refPLI := setPLI(rel, s)
 			if got, want := sampled.IsUnique(s), refPLI.IsUnique(); got != want {
 				t.Fatalf("stride %d: IsUnique(%v) = %v, want %v", stride, s, got, want)
 			}
@@ -218,7 +227,7 @@ func TestSampledPrefilterEquivalence(t *testing.T) {
 					t.Fatalf("stride %d: CheckFD(%v, %d) = %v, want %v", stride, s, a, got, want)
 				}
 			}
-			if got, want := sampled.CheckFDs(s, rel.AllColumns()), refCheckFDs(ref, s, rel.AllColumns()); got != want {
+			if got, want := sampled.CheckFDs(s, rel.AllColumns()), refCheckFDs(rel, s, rel.AllColumns()); got != want {
 				t.Fatalf("stride %d: CheckFDs(%v) = %v, want %v", stride, s, got, want)
 			}
 		}
@@ -232,14 +241,14 @@ func TestSampledPrefilterEquivalence(t *testing.T) {
 // relations stay unsampled, large ones get a power-of-two stride that keeps
 // the sample near the target size.
 func TestWithSampleCheckThreshold(t *testing.T) {
-	small := NewProvider(checkRelation(t, 500, 2, 3, 1), 0).WithSampleCheck(true)
+	small := NewProvider(checkRelation(t, 500, 2, 3, 1), 1, 0, 0).WithSampleCheck(true)
 	if small.sampleMask != 0 {
 		t.Errorf("500-row relation got sampling (mask %d), want disabled below threshold", small.sampleMask)
 	}
 	// High-cardinality columns keep the 100k rows distinct through the
 	// relation layer's duplicate-row removal.
 	bigRel := checkRelation(t, 100000, 3, 1000, 1)
-	big := NewProvider(bigRel, 0).WithSampleCheck(true)
+	big := NewProvider(bigRel, 1, 0, 0).WithSampleCheck(true)
 	if big.sampleMask == 0 {
 		t.Fatalf("%d-row relation did not arm sampling", bigRel.NumRows())
 	}
@@ -262,8 +271,7 @@ func TestWithSampleCheckThreshold(t *testing.T) {
 // race, and every goroutine must see the same verdicts.
 func TestConcurrentFastChecks(t *testing.T) {
 	rel := checkRelation(t, 2000, 6, 5, 11)
-	p := NewConcurrentProvider(rel, 0, 8)
-	ref := NewProvider(rel, 0)
+	p := NewProvider(rel, 8, 0, 0)
 
 	n := rel.NumColumns()
 	var sets []bitset.Set
@@ -278,7 +286,7 @@ func TestConcurrentFastChecks(t *testing.T) {
 			}
 		}
 		sets = append(sets, s)
-		pli := ref.Get(s)
+		pli := setPLI(rel, s)
 		wantUnique[s] = pli.IsUnique()
 		wantCard[s] = pli.DistinctCount()
 		refines := make([]bool, n)
@@ -363,7 +371,7 @@ func FuzzCheckEquivalence(f *testing.F) {
 				}
 				ok := make([]bool, len(cols))
 				base.CheckRefinesMany(cols, keys, keyCards, ok, nil)
-				if want := ref.RefinesEach(cols); !reflect.DeepEqual(ok, want) {
+				if want := refinesEach(ref, cols); !reflect.DeepEqual(ok, want) {
 					t.Fatalf("CheckRefinesMany(base %d, %d keys) = %v, want %v", b, len(keys), ok, want)
 				}
 				var groups [][]int32
@@ -383,11 +391,10 @@ func FuzzCheckEquivalence(f *testing.F) {
 		if len(cols[0]) == 0 {
 			return
 		}
-		// Provider fast paths (with forced sampling) vs Get on a fresh pair.
+		// Provider fast paths (with forced sampling) vs the chain reference.
 		rel := fuzzToRelation(t, cols, card)
-		fast := NewProvider(rel, 0)
+		fast := NewProvider(rel, 1, 0, 0)
 		fast.enableSampling(2)
-		ref := NewProvider(rel, 0)
 		n := rel.NumColumns()
 		for m := 1; m < 1<<n; m++ {
 			var s bitset.Set
@@ -396,14 +403,14 @@ func FuzzCheckEquivalence(f *testing.F) {
 					s = s.With(c)
 				}
 			}
-			refPLI := ref.Get(s)
+			refPLI := setPLI(rel, s)
 			if fast.IsUnique(s) != refPLI.IsUnique() {
 				t.Fatalf("Provider.IsUnique(%v) diverges", s)
 			}
 			if fast.Cardinality(s) != refPLI.DistinctCount() {
 				t.Fatalf("Provider.Cardinality(%v) diverges", s)
 			}
-			if got, want := fast.CheckFDs(s, rel.AllColumns()), refCheckFDs(ref, s, rel.AllColumns()); got != want {
+			if got, want := fast.CheckFDs(s, rel.AllColumns()), refCheckFDs(rel, s, rel.AllColumns()); got != want {
 				t.Fatalf("Provider.CheckFDs(%v) = %v, want %v", s, got, want)
 			}
 		}

@@ -49,11 +49,10 @@ func canonRef(p *ReferencePLI) [][]int32 {
 }
 
 // FuzzPLIEquivalence differentially fuzzes the flat PLI against the
-// reference oracle: FromColumn, Intersect (both operand orders),
-// IntersectColumn, Refines, RefinesEach, ErrorSum and DistinctCount must
-// agree on arbitrary relations. This is the safety net under the layout
-// refactor — any grouping, probe-caching or scratch-reset bug surfaces as a
-// divergence from the pre-flat implementation.
+// reference oracle: FromColumn, IntersectColumn, Refines, ErrorSum and
+// DistinctCount must agree on arbitrary relations. This is the safety net
+// under the layout refactor — any grouping or scratch-reset bug surfaces as
+// a divergence from the pre-flat implementation.
 func FuzzPLIEquivalence(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 1, 1, 0, 2, 2, 0, 1, 1, 0})
 	f.Add([]byte{0, 0})
@@ -78,11 +77,6 @@ func FuzzPLIEquivalence(f *testing.F) {
 
 		for a := range cols {
 			for b := range cols {
-				fi := flat[a].Intersect(flat[b])
-				ri := ref[a].Intersect(ref[b])
-				if !reflect.DeepEqual(canon(fi), canonRef(ri)) {
-					t.Fatalf("Intersect(%d,%d) diverges: flat %v, ref %v", a, b, canon(fi), canonRef(ri))
-				}
 				fc := flat[a].IntersectColumn(cols[b], card)
 				rc := ref[a].IntersectColumn(cols[b])
 				if !reflect.DeepEqual(canon(fc), canonRef(rc)) {
@@ -91,13 +85,6 @@ func FuzzPLIEquivalence(f *testing.F) {
 				if flat[a].Refines(cols[b]) != ref[a].Refines(cols[b]) {
 					t.Fatalf("Refines(%d,%d) diverges", a, b)
 				}
-			}
-			// RefinesEach across all columns, with one slot nil-skipped.
-			cands := make([][]int32, len(cols))
-			copy(cands, cols)
-			cands[len(cands)-1] = nil
-			if got, want := flat[a].RefinesEach(cands), ref[a].RefinesEach(cands); !reflect.DeepEqual(got, want) {
-				t.Fatalf("RefinesEach(%d) diverges: flat %v, ref %v", a, got, want)
 			}
 		}
 	})

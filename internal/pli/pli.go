@@ -15,39 +15,24 @@
 // spans rows[offsets[i]:offsets[i+1]]. Building a PLI therefore costs two
 // allocations regardless of cluster count, and iterating clusters walks one
 // contiguous array instead of chasing a pointer per cluster. Access goes
-// through Cluster, ForEachCluster or ClusterIter; the backing arrays are
-// never handed out mutably.
-//
-// Each PLI additionally caches a lazily materialised cluster-ID attribute
-// vector (ProbeVector): probe[row] is the cluster index of row, or -1 for
-// stripped singletons. Intersect probes it instead of rebuilding a probe
-// table per call, so repeated intersections against the same left operand
-// pay the build once. The vector is built under a sync.Once and published
-// atomically, making concurrent intersections of shared cached PLIs safe.
+// through Cluster or ForEachCluster; the backing arrays are never handed out
+// mutably.
 //
 // Intersections group rows with reusable Scratch arenas (see scratch.go)
 // instead of per-call maps: the steady-state intersect path performs zero
 // map allocations.
 package pli
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // PLI is a stripped partition of a relation's rows. The zero value is not
-// useful; construct PLIs with FromColumn, FromAllRows, Intersect, or
-// IntersectColumn. A PLI is immutable after construction except for the
-// lazily cached probe vector, which is published atomically; all methods are
-// safe for concurrent use.
+// useful; construct PLIs with FromColumn, FromAllRows or IntersectColumn. A
+// PLI is immutable after construction, so all methods are safe for
+// concurrent use.
 type PLI struct {
 	rows    []int32 // cluster members, cluster by cluster (one allocation)
 	offsets []int32 // cluster i = rows[offsets[i]:offsets[i+1]]; nil if no clusters
 	nRows   int
-
-	probeOnce sync.Once
-	probe     atomic.Pointer[[]int32]
 }
 
 // FromColumn builds the PLI of a single dictionary-encoded column.
@@ -119,7 +104,7 @@ func FromAllRows(nRows int) *PLI {
 // FromClusters builds a PLI from explicit clusters, stripping singletons.
 // It is intended for tests and for reconstructing PLIs from raw partitions.
 // Row ids outside [0, nRows) are rejected with a panic — a silently accepted
-// out-of-range id would corrupt every probe vector built from the PLI.
+// out-of-range id would index past every column the PLI is checked against.
 func FromClusters(nRows int, clusters [][]int32) *PLI {
 	nClusters, nStored := 0, 0
 	for _, c := range clusters {
@@ -172,26 +157,6 @@ func (p *PLI) ForEachCluster(fn func(cluster []int32)) {
 	}
 }
 
-// ClusterIter walks a PLI's clusters without a closure; see PLI.Iter.
-type ClusterIter struct {
-	p *PLI
-	i int
-}
-
-// Iter returns an iterator over the clusters.
-func (p *PLI) Iter() ClusterIter { return ClusterIter{p: p} }
-
-// Next returns the next cluster (a read-only view, like Cluster) and whether
-// one was available.
-func (it *ClusterIter) Next() ([]int32, bool) {
-	if it.i >= it.p.NumClusters() {
-		return nil, false
-	}
-	c := it.p.Cluster(it.i)
-	it.i++
-	return c, true
-}
-
 // IsUnique reports whether the underlying column combination is a UCC:
 // a stripped partition with no clusters has only unique values.
 func (p *PLI) IsUnique() bool { return len(p.offsets) == 0 }
@@ -206,59 +171,6 @@ func (p *PLI) ErrorSum() int { return len(p.rows) - p.NumClusters() }
 // cardinality |X|_r used by FUN's free-set classification.
 func (p *PLI) DistinctCount() int { return p.nRows - p.ErrorSum() }
 
-// ProbeVector returns the cluster-ID attribute vector of the PLI:
-// probe[row] is the index of the cluster containing row, or -1 if row is a
-// stripped singleton. The vector is materialised on first use and cached for
-// the PLI's lifetime (it is what makes repeated Intersect calls against the
-// same left operand skip the probe-build pass). Callers must not modify it.
-func (p *PLI) ProbeVector() []int32 {
-	if v := p.probe.Load(); v != nil {
-		return *v
-	}
-	p.probeOnce.Do(func() {
-		probe := make([]int32, p.nRows)
-		for i := range probe {
-			probe[i] = -1
-		}
-		for ci, n := 0, p.NumClusters(); ci < n; ci++ {
-			for _, row := range p.Cluster(ci) {
-				probe[row] = int32(ci)
-			}
-		}
-		p.probe.Store(&probe)
-	})
-	return *p.probe.Load()
-}
-
-// probeMaterialized reports whether the attribute vector has been built (and
-// is therefore part of the PLI's heap footprint).
-func (p *PLI) probeMaterialized() bool { return p.probe.Load() != nil }
-
-// Intersect returns the PLI of X ∪ Y given the PLIs of X and Y. If either
-// operand is already unique the intersection is unique too and returned
-// without touching probe vectors or scratch space. Otherwise the operand
-// with the smaller ErrorSum is the side whose clusters are scanned — fewer
-// rows to group — and its rows are probed against the larger side's cached
-// cluster-ID vector.
-func (p *PLI) Intersect(q *PLI) *PLI {
-	s := getScratch()
-	defer putScratch(s)
-	return p.IntersectScratch(q, s)
-}
-
-// IntersectScratch is Intersect with a caller-owned Scratch arena (see the
-// ownership contract in scratch.go).
-func (p *PLI) IntersectScratch(q *PLI, s *Scratch) *PLI {
-	if p.IsUnique() || q.IsUnique() {
-		return &PLI{nRows: p.nRows}
-	}
-	small, big := p, q
-	if small.ErrorSum() > big.ErrorSum() {
-		small, big = big, small
-	}
-	return small.intersectKeyed(big.ProbeVector(), big.NumClusters(), s)
-}
-
 // IntersectColumn returns the PLI of X ∪ {A} given the PLI of X and the
 // dictionary-encoded column A with the given dictionary size. This avoids
 // materialising A's PLI and is the intersection flavour used on lattice
@@ -271,21 +183,15 @@ func (p *PLI) IntersectColumn(col []int32, cardinality int) *PLI {
 
 // IntersectColumnScratch is IntersectColumn with a caller-owned Scratch arena
 // (see the ownership contract in scratch.go).
-func (p *PLI) IntersectColumnScratch(col []int32, cardinality int, s *Scratch) *PLI {
-	if p.IsUnique() {
-		return &PLI{nRows: p.nRows}
-	}
-	return p.intersectKeyed(col, cardinality, s)
-}
-
-// intersectKeyed groups the rows of p's clusters by keys[row], dropping rows
-// with a negative key (singletons of the probed side) and groups of size one,
-// and emits the surviving groups as a flat PLI. keyRange bounds the key
-// values; s provides the map-free grouping arenas. Within a cluster, groups
+// It groups the rows of each cluster by their code in col, drops groups of
+// size one, and emits the survivors as a flat PLI; within a cluster, groups
 // are emitted in order of first occurrence, which is deterministic.
-func (p *PLI) intersectKeyed(keys []int32, keyRange int, s *Scratch) *PLI {
-	s.ensure(keyRange)
+func (p *PLI) IntersectColumnScratch(col []int32, cardinality int, s *Scratch) *PLI {
 	out := &PLI{nRows: p.nRows}
+	if p.IsUnique() {
+		return out
+	}
+	s.ensure(cardinality)
 	// The output cannot hold more rows than the scanned clusters, nor more
 	// clusters than half of that: allocate the bounds once, shrink below.
 	buf := make([]int32, len(p.rows))
@@ -297,10 +203,7 @@ func (p *PLI) intersectKeyed(keys []int32, keyRange int, s *Scratch) *PLI {
 		cluster := p.rows[p.offsets[ci]:p.offsets[ci+1]]
 		touched = touched[:0]
 		for _, row := range cluster {
-			k := keys[row]
-			if k < 0 {
-				continue // singleton on the probed side → singleton in the result
-			}
+			k := col[row]
 			if counts[k] == 0 {
 				touched = append(touched, k)
 			}
@@ -316,8 +219,8 @@ func (p *PLI) intersectKeyed(keys []int32, keyRange int, s *Scratch) *PLI {
 			}
 		}
 		for _, row := range cluster {
-			k := keys[row]
-			if k < 0 || starts[k] < 0 {
+			k := col[row]
+			if starts[k] < 0 {
 				continue
 			}
 			buf[starts[k]] = row
@@ -359,64 +262,14 @@ func (p *PLI) Refines(col []int32) bool {
 	return true
 }
 
-// RefinesEach checks the FDs X → A for several candidate columns in a single
-// pass over the clusters. cols[i] may be nil to skip candidate i; the result
-// slice reports, per candidate, whether the refinement holds. Surviving
-// candidates live on a compact active-index list, so the per-cluster cost
-// tracks the number of still-undecided candidates rather than len(cols) —
-// once a candidate fails it is swapped out of the list and never looked at
-// again.
-func (p *PLI) RefinesEach(cols [][]int32) []bool {
-	ok := make([]bool, len(cols))
-	s := getScratch()
-	defer putScratch(s)
-	active := s.activeSlots(len(cols))
-	for i, c := range cols {
-		if c != nil {
-			ok[i] = true
-			active = append(active, int32(i))
-		}
-	}
-	rows, offs := p.rows, p.offsets
-	for ci := 0; ci+1 < len(offs) && len(active) > 0; ci++ {
-		cluster := rows[offs[ci]:offs[ci+1]]
-		for j := 0; j < len(active); {
-			i := active[j]
-			c := cols[i]
-			first := c[cluster[0]]
-			violated := false
-			for _, row := range cluster[1:] {
-				if c[row] != first {
-					violated = true
-					break
-				}
-			}
-			if violated {
-				ok[i] = false
-				active[j] = active[len(active)-1]
-				active = active[:len(active)-1]
-			} else {
-				j++
-			}
-		}
-	}
-	return ok
-}
-
 // ApproxBytes is the single byte-accounting method of a PLI, used by both
-// the cache stats surface and the memory governor: the struct itself, four
-// bytes per stored row id and offset, and — once materialised — four bytes
-// per row for the cached attribute vector. For the flat layout this is exact
-// up to the fixed struct overhead. Budgeted caches snapshot the value at Put
-// time (see MapCache), so a vector materialised after caching grows the
-// process heap but not the cache ledger; the Provider's lattice-walk path
-// never materialises vectors on cached PLIs, keeping the ledger truthful.
+// the cache stats surface and the memory governor: a fixed struct overhead
+// plus four bytes per stored row id and offset. For the flat layout this is
+// exact up to the struct constant, and since PLIs are immutable the cache
+// can subtract at eviction exactly what it added at Put.
 func (p *PLI) ApproxBytes() int64 {
-	// PLI struct: three slice/pointer words of headers plus scalars, rounded.
+	// Struct overhead, kept at its historical value so cache ledgers and
+	// eviction decisions stay comparable across versions.
 	const pliStructBytes = 96
-	b := pliStructBytes + 4*int64(len(p.rows)+len(p.offsets))
-	if p.probeMaterialized() {
-		b += 4 * int64(p.nRows)
-	}
-	return b
+	return pliStructBytes + 4*int64(len(p.rows)+len(p.offsets))
 }

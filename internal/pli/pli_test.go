@@ -49,6 +49,20 @@ func brutePLI(r *relation.Relation, s bitset.Set) [][]int32 {
 	return out
 }
 
+// providerClusters collects p's clusters of s through ForEachCluster, in
+// brutePLI's canonical order.
+func providerClusters(p *Provider, s bitset.Set) [][]int32 {
+	var out [][]int32
+	p.ForEachCluster(s, func(c []int32) bool {
+		cc := append([]int32(nil), c...)
+		sort.Slice(cc, func(i, j int) bool { return cc[i] < cc[j] })
+		out = append(out, cc)
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
 func randomRelation(rnd *rand.Rand, maxCols, maxRows, maxCard int) *relation.Relation {
 	cols := 1 + rnd.Intn(maxCols)
 	rows := 1 + rnd.Intn(maxRows)
@@ -118,16 +132,10 @@ func TestFromClustersStripsSingletons(t *testing.T) {
 func TestIntersectExample(t *testing.T) {
 	// Column A: x x y y z ; Column B: 1 1 1 2 2
 	a := FromColumn([]int32{0, 0, 1, 1, 2}, 3)
-	b := FromColumn([]int32{0, 0, 0, 1, 1}, 2)
-	got := canon(a.Intersect(b))
+	got := canon(a.IntersectColumn([]int32{0, 0, 0, 1, 1}, 2))
 	want := [][]int32{{0, 1}} // only rows 0,1 agree on both A and B
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Intersect = %v, want %v", got, want)
-	}
-	// IntersectColumn must agree.
-	got2 := canon(a.IntersectColumn([]int32{0, 0, 0, 1, 1}, 2))
-	if !reflect.DeepEqual(got2, want) {
-		t.Errorf("IntersectColumn = %v, want %v", got2, want)
+		t.Errorf("IntersectColumn = %v, want %v", got, want)
 	}
 }
 
@@ -139,23 +147,6 @@ func TestRefines(t *testing.T) {
 	}
 	if a.Refines([]int32{0, 1, 0, 1}) {
 		t.Error("A → C should not hold")
-	}
-}
-
-func TestRefinesEach(t *testing.T) {
-	a := FromColumn([]int32{0, 0, 1, 1}, 2)
-	cols := [][]int32{
-		{0, 0, 1, 1}, // holds
-		nil,          // skipped
-		{0, 1, 0, 1}, // fails
-	}
-	got := a.RefinesEach(cols)
-	want := []bool{true, false, false}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RefinesEach = %v, want %v", got, want)
-	}
-	if got := a.RefinesEach([][]int32{nil}); got[0] {
-		t.Error("nil-only candidates must return false")
 	}
 }
 
@@ -181,41 +172,8 @@ func TestFromClustersRejectsOutOfRangeRows(t *testing.T) {
 	}
 }
 
-func TestClusterIter(t *testing.T) {
-	p := FromColumn([]int32{0, 1, 0, 2, 1, 0}, 3)
-	var got [][]int32
-	for it := p.Iter(); ; {
-		c, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, append([]int32(nil), c...))
-	}
-	want := canon(p)
-	sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("iterator clusters = %v, want %v", got, want)
-	}
-	if n := p.NumClusters(); n != 2 {
-		t.Errorf("NumClusters = %d, want 2", n)
-	}
-}
-
-func TestProbeVector(t *testing.T) {
-	p := FromColumn([]int32{0, 1, 0, 2, 1, 0}, 3)
-	probe := p.ProbeVector()
-	want := []int32{0, 1, 0, -1, 1, 0} // cluster 0 = {0,2,5}, cluster 1 = {1,4}, row 3 singleton
-	if !reflect.DeepEqual(probe, want) {
-		t.Errorf("ProbeVector = %v, want %v", probe, want)
-	}
-	// The vector is cached: a second call returns the same backing array.
-	if &probe[0] != &p.ProbeVector()[0] {
-		t.Error("ProbeVector rebuilt instead of cached")
-	}
-}
-
-// Property: Intersect agrees with the brute-force partition of the union and
-// is commutative; IntersectColumn agrees with Intersect.
+// Property: IntersectColumn agrees with the brute-force partition of the
+// union and is commutative in its two columns.
 func TestQuickIntersectCorrect(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 150,
@@ -227,26 +185,21 @@ func TestQuickIntersectCorrect(t *testing.T) {
 	if err := quick.Check(func(r *relation.Relation, seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		n := r.NumColumns()
-		a := bitset.Single(rnd.Intn(n))
-		b := bitset.Single(rnd.Intn(n))
-		p := NewProvider(r, 0)
-		pa, pb := p.Get(a), p.Get(b)
-		inter := pa.Intersect(pb)
-		if !reflect.DeepEqual(canon(inter), brutePLI(r, a.Union(b))) {
+		a, b := rnd.Intn(n), rnd.Intn(n)
+		pa := FromColumn(r.Column(a), r.Cardinality(a))
+		pb := FromColumn(r.Column(b), r.Cardinality(b))
+		inter := pa.IntersectColumn(r.Column(b), r.Cardinality(b))
+		if !reflect.DeepEqual(canon(inter), brutePLI(r, bitset.New(a, b))) {
 			return false
 		}
-		if !reflect.DeepEqual(canon(pb.Intersect(pa)), canon(inter)) {
-			return false
-		}
-		viaCol := pa.IntersectColumn(r.Column(b.First()), r.Cardinality(b.First()))
-		return reflect.DeepEqual(canon(viaCol), canon(inter))
+		return reflect.DeepEqual(canon(pb.IntersectColumn(r.Column(a), r.Cardinality(a))), canon(inter))
 	}, cfg); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: the provider's Get agrees with the brute-force partition for
-// arbitrary column sets, however the lookups are interleaved.
+// Property: the provider's clusters and counts agree with the brute-force
+// partition for arbitrary column sets, however the lookups are interleaved.
 func TestQuickProviderCorrect(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 80,
@@ -257,7 +210,7 @@ func TestQuickProviderCorrect(t *testing.T) {
 	}
 	if err := quick.Check(func(r *relation.Relation, seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		p := NewProvider(r, 8) // tiny cache to exercise eviction
+		p := NewProvider(r, 1, 8, 0) // tiny cache to exercise eviction
 		for i := 0; i < 20; i++ {
 			var s bitset.Set
 			for c := 0; c < r.NumColumns(); c++ {
@@ -265,7 +218,8 @@ func TestQuickProviderCorrect(t *testing.T) {
 					s = s.With(c)
 				}
 			}
-			if !reflect.DeepEqual(canon(p.Get(s)), brutePLI(r, s)) {
+			want := brutePLI(r, s)
+			if p.IsUnique(s) != (len(want) == 0) || !reflect.DeepEqual(providerClusters(p, s), want) {
 				return false
 			}
 		}
@@ -287,7 +241,7 @@ func TestQuickLemma1(t *testing.T) {
 	}
 	if err := quick.Check(func(r *relation.Relation, seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		p := NewProvider(r, 0)
+		p := NewProvider(r, 1, 0, 0)
 		n := r.NumColumns()
 		var lhs bitset.Set
 		for c := 0; c < n; c++ {
@@ -299,7 +253,7 @@ func TestQuickLemma1(t *testing.T) {
 		if lhs.Has(rhs) {
 			lhs = lhs.Without(rhs)
 		}
-		refines := p.Get(lhs).Refines(r.Column(rhs))
+		refines := setPLI(r, lhs).Refines(r.Column(rhs))
 		byCard := p.Cardinality(lhs) == p.Cardinality(lhs.With(rhs))
 		return refines == byCard
 	}, cfg); err != nil {
@@ -314,7 +268,7 @@ func TestProviderBasics(t *testing.T) {
 		{"y", "2", "p"},
 		{"y", "3", "q"},
 	})
-	p := NewProvider(r, 0)
+	p := NewProvider(r, 1, 0, 0)
 	if p.Relation() != r {
 		t.Error("Relation accessor mismatch")
 	}
@@ -347,7 +301,7 @@ func TestProviderBasics(t *testing.T) {
 
 func TestProviderEmptySetCardinality(t *testing.T) {
 	r := relation.MustNew("t", []string{"A"}, [][]string{{"x"}, {"y"}})
-	p := NewProvider(r, 0)
+	p := NewProvider(r, 1, 0, 0)
 	if p.Cardinality(bitset.New()) != 1 {
 		t.Errorf("empty set cardinality = %d, want 1", p.Cardinality(bitset.New()))
 	}
@@ -359,7 +313,7 @@ func TestProviderCacheEviction(t *testing.T) {
 	for r.NumColumns() < 6 {
 		r = randomRelation(rnd, 6, 50, 3)
 	}
-	p := NewProvider(r, 4)
+	p := NewProvider(r, 1, 4, 0)
 	// Touch many sets; cache must stay bounded and results stay correct.
 	sets := []bitset.Set{}
 	for c1 := 0; c1 < 6; c1++ {
@@ -368,14 +322,14 @@ func TestProviderCacheEviction(t *testing.T) {
 		}
 	}
 	for _, s := range sets {
-		p.Get(s)
+		p.IsUnique(s)
 	}
-	if p.CachedEntries() > 4 {
-		t.Errorf("cache grew to %d entries, cap 4", p.CachedEntries())
+	if st := p.CacheStats(); st.Entries > 4 {
+		t.Errorf("cache grew to %d entries, cap 4", st.Entries)
 	}
 	for _, s := range sets {
-		if !reflect.DeepEqual(canon(p.Get(s)), brutePLI(r, s)) {
-			t.Errorf("post-eviction PLI wrong for %v", s)
+		if !reflect.DeepEqual(providerClusters(p, s), brutePLI(r, s)) {
+			t.Errorf("post-eviction clusters wrong for %v", s)
 		}
 	}
 }

@@ -15,26 +15,15 @@ import (
 // (paper Sec. 3): a single Provider is handed from the UCC phase to the FD
 // phases so that intersections computed once are reused.
 //
-// Lookup strategy for an uncached set X: if any PLI of X minus one column is
-// cached, extend it with one column intersection; otherwise fold over X's
-// columns in ascending order, caching every prefix. Random-walk neighbours
-// therefore cost one intersection in the common case.
-//
-// The multi-column store behind Get is a pluggable Cache (see cache.go);
-// NewProvider uses the bounded MapCache, NewProviderWithCache slots in any
-// other policy, such as the concurrency-safe ShardedCache.
-//
 // # Validation fast path
 //
-// Get materialises and caches; it is the right call when the PLI itself is
-// needed again (ancestors on a lattice walk, agree-set construction). The
-// boolean/cardinality questions of the walks — IsUnique, CheckFD, CheckFDs,
-// Cardinality, ForEachCluster — instead go through the non-materializing
-// check kernels of check.go: they pick the cheapest cached ancestor of the
-// probed set (fewest stored rows wins — direct subsets, distance-2 subsets,
-// ascending prefixes and singles are all candidates) and fold the missing
-// columns over its clusters with early exit, building no PLI at all.
-// Admission control keeps validate-only probes from flooding the
+// The Provider answers the boolean/cardinality questions of the walks —
+// IsUnique, CheckFD, CheckFDs, Cardinality, ForEachCluster — through the
+// non-materializing check kernels of check.go: they pick the cheapest cached
+// ancestor of the probed set (fewest stored rows wins — direct subsets,
+// distance-2 subsets, ascending prefixes and singles are all candidates) and
+// fold the missing columns over its clusters with early exit, building no
+// PLI at all. Admission control keeps validate-only probes from flooding the
 // byte-budgeted cache. The FD checks admit nothing: a refuted or confirmed
 // FD verdict is pure scanning. IsUnique is verdict-aware: a refuted probe is
 // the walk's reuse path (DUCC ascends from it), so its survivors — already
@@ -53,21 +42,19 @@ import (
 //
 // Concurrency contract: after construction (including WithSampleCheck, which
 // must be called before the Provider is shared) the Provider itself is
-// immutable except for the atomic counters and the cache. Get, IsUnique,
-// Cardinality, CheckFD, CheckFDs and ForEachCluster are therefore safe to
-// call from multiple goroutines if and only if the configured Cache is safe
-// for concurrent use (ShardedCache). With the plain MapCache the
-// Provider is single-goroutine only. Concurrent Gets of the same uncached
-// combination may duplicate an intersection — both goroutines compute and
-// store the same PLI — which wastes a little work but never produces a wrong
-// result, because PLIs are immutable once built. The fast paths borrow
-// pooled Scratch arenas per call (see scratch.go), so they hold no shared
-// mutable state across goroutines.
+// immutable except for the atomic counters and the cache. A Provider built
+// for more than one worker shards its cache and locks the probed shard, so
+// its checks are safe to call from multiple goroutines; a one-worker
+// Provider takes no locks and is single-goroutine only. Concurrent checks
+// may both admit the same set — both compute and store the same PLI — which
+// wastes a little work but never produces a wrong result, because PLIs are
+// immutable once built. The checks borrow pooled Scratch arenas per call
+// (see scratch.go), so they hold no shared mutable state across goroutines.
 type Provider struct {
 	rel    *relation.Relation
 	single []*PLI
 	empty  *PLI
-	cache  Cache
+	cache  *cache
 
 	// sampleMask != 0 arms the stride-sample refutation prefilter: row r is
 	// sampled iff r&sampleMask == 0 (the stride is sampleMask+1, a power of
@@ -88,10 +75,10 @@ type Provider struct {
 	// never wrong.
 	admit [admitSlots]atomic.Uint32
 
-	// intersections counts column intersections performed; read it via
-	// IntersectionCount. Updated with sync/atomic so a Provider shared
-	// across workers stays race-free. The other three are the fast-path
-	// counters surfaced through CacheStats.
+	// intersections counts column intersections performed; the other three
+	// are the fast-path counters. All four surface through CacheStats and
+	// are updated with sync/atomic so a Provider shared across workers stays
+	// race-free.
 	intersections      atomic.Int64
 	fastChecks         atomic.Int64
 	materializations   atomic.Int64
@@ -106,31 +93,33 @@ const DefaultCacheEntries = 4096
 // Provider). Must be a power of two.
 const admitSlots = 1 << 12
 
-// NewProvider builds a Provider for rel with the default bounded map cache.
-// maxEntries <= 0 selects DefaultCacheEntries.
-func NewProvider(rel *relation.Relation, maxEntries int) *Provider {
-	return NewProviderWithCache(rel, NewMapCache(maxEntries))
-}
-
-// NewProviderWithCache builds a Provider that stores multi-column PLIs in the
-// given cache. cache == nil selects a default-sized MapCache.
-//
-// The single-column PLIs are built concurrently, one indexed slot per column
-// across GOMAXPROCS workers; the result is identical to the sequential build
-// because each column's PLI depends only on that column's data. Each worker
-// slot owns one Scratch arena sized to the relation's maximum cardinality
-// (the worker-slot ownership contract of scratch.go), so the whole build
-// performs one grouping-arena allocation per worker, not one per column.
-func NewProviderWithCache(rel *relation.Relation, cache Cache) *Provider {
-	if cache == nil {
-		cache = NewMapCache(0)
-	}
+// NewProvider builds a Provider for rel whose checks are safe to call from
+// up to parallel.Workers(workers) goroutines (workers <= 0 selects
+// GOMAXPROCS); when that is one, the Provider takes no locks and is
+// single-goroutine only. maxEntries bounds the cached
+// multi-column PLIs (<= 0 selects DefaultCacheEntries) and maxBytes their
+// approximate heap (0 selects DefaultCacheBytes, < 0 disables the byte
+// budget).
+func NewProvider(rel *relation.Relation, workers, maxEntries int, maxBytes int64) *Provider {
 	p := &Provider{
 		rel:    rel,
 		single: make([]*PLI, rel.NumColumns()),
 		empty:  FromAllRows(rel.NumRows()),
-		cache:  cache,
+		cache:  newCache(workers, maxEntries, maxBytes),
 	}
+	p.buildSingles()
+	return p
+}
+
+// buildSingles (re)builds the single-column PLIs from the relation's current
+// columns, concurrently, one indexed slot per column across GOMAXPROCS
+// workers; the result is identical to the sequential build because each
+// column's PLI depends only on that column's data. Each worker slot owns one
+// Scratch arena sized to the relation's maximum cardinality (the worker-slot
+// ownership contract of scratch.go), so the whole build performs one
+// grouping-arena allocation per worker, not one per column.
+func (p *Provider) buildSingles() {
+	rel := p.rel
 	maxCard := rel.MaxCardinality()
 	scratches := make([]*Scratch, parallel.Workers(0))
 	parallel.ForWorker(context.Background(), parallel.Workers(0), rel.NumColumns(), func(w, c int) {
@@ -142,15 +131,6 @@ func NewProviderWithCache(rel *relation.Relation, cache Cache) *Provider {
 		}
 		p.single[c] = FromColumnScratch(rel.Column(c), rel.Cardinality(c), s)
 	})
-	return p
-}
-
-// NewConcurrentProvider builds a Provider backed by a ShardedCache, safe for
-// use from up to `workers` concurrent goroutines (workers <= 0 selects
-// GOMAXPROCS). maxEntries bounds the total cached multi-column PLIs
-// (<= 0 selects DefaultCacheEntries).
-func NewConcurrentProvider(rel *relation.Relation, maxEntries, workers int) *Provider {
-	return NewProviderWithCache(rel, NewShardedCache(parallel.Workers(workers), maxEntries))
 }
 
 // Relation returns the underlying relation.
@@ -159,47 +139,10 @@ func (p *Provider) Relation() *relation.Relation { return p.rel }
 // SingleColumn returns the cached PLI of one column.
 func (p *Provider) SingleColumn(c int) *PLI { return p.single[c] }
 
-// Get returns the PLI of the column combination s, computing and caching it
-// if necessary.
-func (p *Provider) Get(s bitset.Set) *PLI {
-	switch s.Len() {
-	case 0:
-		return p.empty
-	case 1:
-		return p.single[s.First()]
-	}
-	if pli, ok := p.cacheGet(s); ok {
-		return pli
-	}
-	// Fast path: extend a cached direct subset by one column.
-	for c := s.First(); c >= 0; c = s.NextAfter(c) {
-		sub := s.Without(c)
-		if base, ok := p.lookup(sub); ok {
-			pli := p.intersectColumn(base, c)
-			p.cachePut(s, pli)
-			return pli
-		}
-	}
-	// Slow path: fold over ascending columns, caching prefixes.
-	cols := s.Columns()
-	prefix := bitset.Single(cols[0])
-	pli := p.single[cols[0]]
-	for _, c := range cols[1:] {
-		prefix = prefix.With(c)
-		if cached, ok := p.lookup(prefix); ok {
-			pli = cached
-			continue
-		}
-		pli = p.intersectColumn(pli, c)
-		p.cachePut(prefix, pli)
-	}
-	return pli
-}
-
 // intersectColumn performs one counted column intersection. The armed
-// faults.PLIIntersect point panics here (Get has no error channel); the
-// engine's panic isolation converts it into a failed job. The grouping
-// scratch comes from the package pool (Get is called from arbitrary
+// faults.PLIIntersect point panics here (the checks have no error channel);
+// the engine's panic isolation converts it into a failed job. The grouping
+// scratch comes from the package pool (checks are called from arbitrary
 // goroutines, so no worker slot is available here; see scratch.go).
 func (p *Provider) intersectColumn(base *PLI, c int) *PLI {
 	faults.Check(faults.PLIIntersect)
@@ -215,7 +158,7 @@ func (p *Provider) cacheGet(s bitset.Set) (*PLI, bool) {
 	if faults.Degraded(faults.CacheGet) {
 		return nil, false
 	}
-	return p.cache.Get(s)
+	return p.cache.get(s)
 }
 
 // cachePut stores into the multi-column cache. Under an armed
@@ -224,12 +167,8 @@ func (p *Provider) cachePut(s bitset.Set, pli *PLI) {
 	if faults.Degraded(faults.CachePut) {
 		return
 	}
-	p.cache.Put(s, pli)
+	p.cache.put(s, pli)
 }
-
-// IntersectionCount returns the number of column intersections performed so
-// far. It is safe to call concurrently with Get.
-func (p *Provider) IntersectionCount() int64 { return p.intersections.Load() }
 
 func (p *Provider) lookup(s bitset.Set) (*PLI, bool) {
 	switch s.Len() {
@@ -241,27 +180,20 @@ func (p *Provider) lookup(s bitset.Set) (*PLI, bool) {
 	return p.cacheGet(s)
 }
 
-// CachedEntries returns the number of multi-column PLIs currently cached.
-func (p *Provider) CachedEntries() int { return p.cache.Len() }
-
 // CacheStats snapshots the cache behaviour of this Provider: probe hits and
 // misses, evictions, the current entry count, the intersections performed,
 // and the fast-path counters (FastChecks, Materializations,
 // SampledRefutations). The snapshot is what the engine reports to its
 // Observer.
 func (p *Provider) CacheStats() CacheStats {
-	hits, misses, evictions := p.cache.Counters()
-	return CacheStats{
-		Hits:               hits,
-		Misses:             misses,
-		Evictions:          evictions,
-		Entries:            p.cache.Len(),
-		Bytes:              p.cache.Bytes(),
+	st := CacheStats{
 		Intersections:      p.intersections.Load(),
 		FastChecks:         p.fastChecks.Load(),
 		Materializations:   p.materializations.Load(),
 		SampledRefutations: p.sampledRefutations.Load(),
 	}
+	p.cache.stats(&st)
+	return st
 }
 
 // sampleTargetRows is the sample size the stride selection aims for, and
@@ -408,8 +340,8 @@ func (p *Provider) samplePlan(set bitset.Set, sc *Scratch) (*PLI, [][]int32, []i
 // request for that candidate (admit-on-second-request, TinyLFU style). A
 // validate-only probe therefore admits at most one intermediate PLI per
 // check and usually none, so DUCC's random probes cannot flood the
-// byte-budgeted cache with slow-path prefixes the way Get's
-// cache-every-prefix policy would, and a one-shot sweep of a lattice region
+// byte-budgeted cache with slow-path prefixes the way a cache-every-prefix
+// policy would, and a one-shot sweep of a lattice region
 // materialises nothing at all; sustained probing of a region still promotes
 // its ancestor frontier until checks there are distance-1 folds.
 func (p *Provider) plan(set bitset.Set, sc *Scratch) (*PLI, []int) {

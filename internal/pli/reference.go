@@ -52,38 +52,6 @@ func (p *ReferencePLI) ErrorSum() int {
 // DistinctCount returns the number of distinct value combinations.
 func (p *ReferencePLI) DistinctCount() int { return p.nRows - p.ErrorSum() }
 
-// Intersect returns the reference PLI of X ∪ Y via the probe-table
-// algorithm with per-call probe array and map grouping.
-func (p *ReferencePLI) Intersect(q *ReferencePLI) *ReferencePLI {
-	probe := make([]int32, p.nRows)
-	for i := range probe {
-		probe[i] = -1
-	}
-	for ci, cluster := range p.clusters {
-		for _, row := range cluster {
-			probe[row] = int32(ci)
-		}
-	}
-	out := &ReferencePLI{nRows: p.nRows}
-	groups := make(map[int32][]int32)
-	for _, cluster := range q.clusters {
-		for _, row := range cluster {
-			pc := probe[row]
-			if pc < 0 {
-				continue // singleton in p → singleton in the intersection
-			}
-			groups[pc] = append(groups[pc], row)
-		}
-		for pc, g := range groups {
-			if len(g) >= 2 {
-				out.clusters = append(out.clusters, append([]int32(nil), g...))
-			}
-			delete(groups, pc)
-		}
-	}
-	return out
-}
-
 // IntersectColumn returns the reference PLI of X ∪ {A}.
 func (p *ReferencePLI) IntersectColumn(col []int32) *ReferencePLI {
 	out := &ReferencePLI{nRows: p.nRows}
@@ -114,39 +82,4 @@ func (p *ReferencePLI) Refines(col []int32) bool {
 		}
 	}
 	return true
-}
-
-// RefinesEach checks the FDs X → A for several candidate columns in a single
-// pass over the clusters, mirroring PLI.RefinesEach.
-func (p *ReferencePLI) RefinesEach(cols [][]int32) []bool {
-	ok := make([]bool, len(cols))
-	remaining := 0
-	for i, c := range cols {
-		if c != nil {
-			ok[i] = true
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		return ok
-	}
-	for _, cluster := range p.clusters {
-		for i, c := range cols {
-			if c == nil || !ok[i] {
-				continue
-			}
-			first := c[cluster[0]]
-			for _, row := range cluster[1:] {
-				if c[row] != first {
-					ok[i] = false
-					remaining--
-					break
-				}
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-	}
-	return ok
 }

@@ -13,8 +13,8 @@ import (
 
 // TestScratchWorkerSlotReuse exercises the worker-slot ownership contract
 // under the real pool (run with -race): each slot owns one Scratch reused
-// across many FromColumnScratch/IntersectColumnScratch/IntersectScratch
-// calls, and every result must match the sequentially computed expectation.
+// across many FromColumnScratch/IntersectColumnScratch calls, and every
+// result must match the sequentially computed expectation.
 // A scratch-reset bug (counts left dirty between calls) or a slot shared by
 // two goroutines shows up as a wrong cluster or a race report.
 func TestScratchWorkerSlotReuse(t *testing.T) {
@@ -54,13 +54,7 @@ func TestScratchWorkerSlotReuse(t *testing.T) {
 		}
 		tk := tasks[i]
 		pa := FromColumnScratch(r.Column(tk.a), r.Cardinality(tk.a), s)
-		pb := FromColumnScratch(r.Column(tk.b), r.Cardinality(tk.b), s)
-		viaCol := pa.IntersectColumnScratch(r.Column(tk.b), r.Cardinality(tk.b), s)
-		viaPLI := pa.IntersectScratch(pb, s)
-		if !reflect.DeepEqual(canon(viaCol), canon(viaPLI)) {
-			t.Errorf("task %d: IntersectColumnScratch and IntersectScratch disagree", i)
-		}
-		got[i] = canon(viaCol)
+		got[i] = canon(pa.IntersectColumnScratch(r.Column(tk.b), r.Cardinality(tk.b), s))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +67,9 @@ func TestScratchWorkerSlotReuse(t *testing.T) {
 }
 
 // TestScratchPoolConcurrentProviders exercises the sync.Pool fallback (run
-// with -race): many goroutines drive a shared concurrent Provider through
-// uncached multi-column Gets, all of which borrow pooled scratches for their
-// intersections. Results must match the sequential brute force.
+// with -race): many goroutines drive a shared multi-worker Provider through
+// uncached multi-column checks, all of which borrow pooled scratches for
+// their folds and admissions. Results must match the sequential brute force.
 func TestScratchPoolConcurrentProviders(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	r := randomRelation(rnd, 6, 300, 4)
@@ -83,7 +77,7 @@ func TestScratchPoolConcurrentProviders(t *testing.T) {
 		r = randomRelation(rnd, 6, 300, 4)
 	}
 	n := r.NumColumns()
-	p := NewConcurrentProvider(r, 8, 8) // tiny cache forces constant recomputation
+	p := NewProvider(r, 8, 8, 0) // tiny cache forces constant recomputation
 
 	var sets []bitset.Set
 	for a := 0; a < n; a++ {
@@ -106,35 +100,16 @@ func TestScratchPoolConcurrentProviders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3*len(sets); i++ {
 				j := (g + i) % len(sets)
-				if got := canon(p.Get(sets[j])); !reflect.DeepEqual(got, want[j]) {
-					t.Errorf("goroutine %d: Get(%v) = %v, want %v", g, sets[j], got, want[j])
+				if p.IsUnique(sets[j]) != (len(want[j]) == 0) {
+					t.Errorf("goroutine %d: IsUnique(%v) diverges", g, sets[j])
+					return
+				}
+				if got := providerClusters(p, sets[j]); !reflect.DeepEqual(got, want[j]) {
+					t.Errorf("goroutine %d: clusters of %v = %v, want %v", g, sets[j], got, want[j])
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestProbeVectorConcurrentMaterialization hammers the lazy attribute-vector
-// build from many goroutines (run with -race): exactly one build must win
-// and all callers must observe the same backing array.
-func TestProbeVectorConcurrentMaterialization(t *testing.T) {
-	p := FromColumn([]int32{0, 1, 0, 2, 1, 0, 3, 3}, 4)
-	first := make([]*int32, 16)
-	var wg sync.WaitGroup
-	for g := range first {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			v := p.ProbeVector()
-			first[g] = &v[0]
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < len(first); g++ {
-		if first[g] != first[0] {
-			t.Fatal("goroutines observed different probe vectors")
-		}
-	}
 }

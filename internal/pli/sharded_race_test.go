@@ -9,15 +9,14 @@ import (
 	"holistic/internal/relation"
 )
 
-// TestShardedCacheCounterAggregation hammers a ShardedCache with a
+// TestShardedCacheCounterAggregation hammers a multi-shard cache with a
 // concurrent mixed hit/miss workload and checks that the aggregated
 // counters balance exactly: every Get is accounted as a hit or a miss, and
 // every inserted entry is either still cached or counted as evicted. Run
 // with -race, this also exercises the per-shard locking.
 func TestShardedCacheCounterAggregation(t *testing.T) {
 	rel := mustRelation(t)
-	base := NewProvider(rel, 0)
-	seedPLI := base.SingleColumn(0)
+	seedPLI := NewProvider(rel, 1, 0, 0).SingleColumn(0)
 
 	const (
 		goroutines   = 8
@@ -26,7 +25,7 @@ func TestShardedCacheCounterAggregation(t *testing.T) {
 		totalEntries = goroutines * setsPerG
 	)
 	// A small bound forces evictions under load.
-	c := NewShardedCache(4, totalEntries/4)
+	c := newCache(4, totalEntries/4, -1)
 
 	var wg sync.WaitGroup
 	var gets, hitsSeen, missesSeen atomic.Int64
@@ -39,20 +38,21 @@ func TestShardedCacheCounterAggregation(t *testing.T) {
 				// a fresh key, never overwrites.
 				key := bitset.New(g, goroutines+i)
 				for k := 0; k < getsPerSet; k++ {
-					if _, ok := c.Get(key); ok {
+					if _, ok := c.get(key); ok {
 						hitsSeen.Add(1)
 					} else {
 						missesSeen.Add(1)
 					}
 					gets.Add(1)
 				}
-				c.Put(key, seedPLI)
+				c.put(key, seedPLI)
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	hits, misses, evictions := c.Counters()
+	st := cacheStats(c)
+	hits, misses, evictions := st.Hits, st.Misses, st.Evictions
 	if hits+misses != gets.Load() {
 		t.Fatalf("hits+misses = %d+%d = %d, want %d (every probe counted exactly once)",
 			hits, misses, hits+misses, gets.Load())
@@ -63,8 +63,8 @@ func TestShardedCacheCounterAggregation(t *testing.T) {
 	}
 	// Each key is Put exactly once, so inserts = totalEntries and every
 	// insert is either resident or evicted.
-	if got := c.Len() + int(evictions); got != totalEntries {
-		t.Fatalf("Len()+evictions = %d+%d = %d, want %d inserts", c.Len(), evictions, got, totalEntries)
+	if got := st.Entries + int(evictions); got != totalEntries {
+		t.Fatalf("Entries+evictions = %d+%d = %d, want %d inserts", st.Entries, evictions, got, totalEntries)
 	}
 	if evictions == 0 {
 		t.Fatalf("expected evictions under a %d-entry bound with %d inserts", totalEntries/4, totalEntries)
@@ -76,14 +76,12 @@ func TestShardedCacheCounterAggregation(t *testing.T) {
 	}
 }
 
-// TestShardedCacheCountersConcurrentReads verifies that Counters and Len can
-// be called while the cache is being mutated (the per-job stats path of the
-// profiling server does exactly this).
+// TestShardedCacheCountersConcurrentReads verifies that a multi-shard
+// cache's stats can be read while the cache is being mutated.
 func TestShardedCacheCountersConcurrentReads(t *testing.T) {
 	rel := mustRelation(t)
-	base := NewProvider(rel, 0)
-	seedPLI := base.SingleColumn(0)
-	c := NewShardedCache(0, 64)
+	seedPLI := NewProvider(rel, 1, 0, 0).SingleColumn(0)
+	c := newCache(4, 64, -1)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -98,17 +96,15 @@ func TestShardedCacheCountersConcurrentReads(t *testing.T) {
 				default:
 				}
 				key := bitset.New(g, 4+i%32)
-				c.Get(key)
-				c.Put(key, seedPLI)
+				c.get(key)
+				c.put(key, seedPLI)
 			}
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
-		h, m, e := c.Counters()
-		if h < 0 || m < 0 || e < 0 {
-			t.Fatalf("negative counters: %d %d %d", h, m, e)
+		if st := cacheStats(c); st.Hits < 0 || st.Misses < 0 || st.Evictions < 0 || st.Entries < 0 {
+			t.Fatalf("negative counters: %+v", st)
 		}
-		_ = c.Len()
 	}
 	close(stop)
 	wg.Wait()

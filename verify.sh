@@ -41,7 +41,7 @@ go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/relation/
 echo "== PLI differential fuzz smoke (flat layout vs reference) =="
 go test -run='^$' -fuzz='^FuzzPLIEquivalence$' -fuzztime=10s ./internal/pli/
 
-echo "== check-kernel differential fuzz smoke (fast path vs materializing) =="
+echo "== check-kernel differential fuzz smoke (fast path vs IntersectColumn chain) =="
 go test -run='^$' -fuzz='^FuzzCheckEquivalence$' -fuzztime=10s ./internal/pli/
 
 echo "== PLI bench smoke (compile + one iteration) =="
