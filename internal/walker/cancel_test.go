@@ -60,3 +60,20 @@ func TestRunEqualsRunContextBackground(t *testing.T) {
 		t.Fatal("background-context walk differs from plain walk")
 	}
 }
+
+// TestMinimalHittingSetsStop abandons an enumeration with 2^15 results
+// at the first poll of its stop function.
+func TestMinimalHittingSetsStop(t *testing.T) {
+	var fams []bitset.Set
+	for i := 0; i < 30; i += 2 {
+		fams = append(fams, bitset.New(i, i+1))
+	}
+	polls := 0
+	got := minimalHittingSets(fams, bitset.Full(30), func() bool { polls++; return true })
+	if got != nil || polls != 1 {
+		t.Fatalf("stopped enumeration returned %d sets after %d polls, want nil after 1", len(got), polls)
+	}
+	if n := len(minimalHittingSets(fams, bitset.Full(30), func() bool { return false })); n != 1<<15 {
+		t.Fatalf("unstopped enumeration found %d sets, want %d", n, 1<<15)
+	}
+}

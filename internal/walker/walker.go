@@ -257,7 +257,10 @@ func (w *state) fillHoles() bool {
 		complements = append(complements, w.base.Diff(m))
 		return true
 	})
-	candidates := MinimalHittingSets(complements, w.base)
+	candidates := minimalHittingSets(complements, w.base, w.cancelled)
+	if w.cancelled() {
+		return false
+	}
 	progress := false
 	for _, cand := range candidates {
 		// The empty hitting set arises only when there is no false
@@ -274,9 +277,15 @@ func (w *state) fillHoles() bool {
 	// signals a missing maximal-false certificate below it.
 	var hits settrie.MinimalFamily
 	for _, h := range candidates {
+		if w.cancelled() {
+			return false
+		}
 		hits.Add(h)
 	}
 	for _, u := range w.trues.All() {
+		if w.cancelled() {
+			return false
+		}
 		if hits.Contains(u) {
 			continue
 		}
@@ -302,6 +311,18 @@ func (w *state) fillHoles() bool {
 // exactly once and no non-minimal one is ever completed, so no global
 // minimality filter is needed.
 func MinimalHittingSets(families []bitset.Set, base bitset.Set) []bitset.Set {
+	return minimalHittingSets(families, base, nil)
+}
+
+// stopStride is how many search nodes minimalHittingSets visits between
+// polls of its stop function.
+const stopStride = 256
+
+// minimalHittingSets is MinimalHittingSets with an optional stop function,
+// polled every stopStride search nodes. Once stop reports true the
+// enumeration is abandoned and the result is nil: the search can take
+// seconds on wide bases, far longer than a cancelled walk may run on.
+func minimalHittingSets(families []bitset.Set, base bitset.Set, stop func() bool) []bitset.Set {
 	// Only ⊆-minimal family sets constrain the hitting sets: hitting a set
 	// hits all its supersets. This also catches empty members (nothing can
 	// hit them, so there is no hitting set at all).
@@ -318,11 +339,14 @@ func MinimalHittingSets(families []bitset.Set, base bitset.Set) []bitset.Set {
 			return nil // a family member had no columns inside base
 		}
 	}
-	h := mmcs{edges: edges, hits: make([]int, len(edges)), uncovered: len(edges)}
+	h := mmcs{edges: edges, hits: make([]int, len(edges)), uncovered: len(edges), stop: stop}
 	for i, f := range edges {
 		f.ForEach(func(c int) { h.byCol[c] = append(h.byCol[c], i) })
 	}
 	h.recurse(base)
+	if h.stopped {
+		return nil
+	}
 	bitset.Sort(h.out)
 	return h.out
 }
@@ -338,11 +362,23 @@ type mmcs struct {
 	uncovered int                      // edges with hits == 0
 	partial   bitset.Set
 	out       []bitset.Set
+	stop      func() bool // nil: never stop
+	nodes     int         // search nodes visited, for the stop stride
+	stopped   bool
 }
 
 // recurse extends partial by the columns of cand. A column left out of cand
 // was already branched on at an ancestor, so it cannot join here.
 func (h *mmcs) recurse(cand bitset.Set) {
+	if h.stop != nil {
+		h.nodes++
+		if h.nodes%stopStride == 0 && h.stop() {
+			h.stopped = true
+		}
+	}
+	if h.stopped {
+		return
+	}
 	if h.uncovered == 0 {
 		h.out = append(h.out, h.partial)
 		return
@@ -372,6 +408,9 @@ func (h *mmcs) recurse(cand bitset.Set) {
 			h.recurse(cand)
 		}
 		h.remove(v)
+		if h.stopped {
+			return
+		}
 		cand = cand.With(v)
 	}
 }
