@@ -121,9 +121,11 @@ func BenchmarkFigure8Phases(b *testing.B) {
 // BenchmarkUniformLowCardinality is a regression case, not a paper figure:
 // MUDS on 15 independent uniform columns of 5 values over 12,000 rows. No
 // column combination is a cheap key and nearly every right-hand side has a
-// wide FD antichain, so the per-RHS walks need several hole-filling rounds
-// and the run's CPU is dominated by walker.MinimalHittingSets rather than
-// PLI work.
+// wide FD antichain, so the per-RHS walks need several hole-filling rounds:
+// about 90% of the run's CPU is under the walker's hole filling. The checks
+// those walks trigger dominate it (CheckFD ~48% and IsUnique ~17% of the
+// run's CPU); the MMCS hitting-set enumeration takes ~13% (2-vCPU Xeon,
+// GOMAXPROCS 2).
 func BenchmarkUniformLowCardinality(b *testing.B) {
 	spec := dataset.Spec{Name: "uniform", Rows: 12000, Seed: 42}
 	for c := 0; c < 15; c++ {

@@ -1,6 +1,7 @@
 package walker
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -63,7 +64,7 @@ func BenchmarkMinimalHittingSets(b *testing.B) {
 	base := bitset.Full(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(MinimalHittingSets(fams, base)) == 0 {
+		if hs, _ := MinimalHittingSets(context.Background(), fams, base); len(hs) == 0 {
 			b.Fatal("no hitting sets")
 		}
 	}

@@ -62,18 +62,46 @@ func TestRunEqualsRunContextBackground(t *testing.T) {
 }
 
 // TestMinimalHittingSetsStop abandons an enumeration with 2^15 results
-// at the first poll of its stop function.
+// at the first poll of its stop function, and through the exported entry
+// under a cancelled context.
 func TestMinimalHittingSetsStop(t *testing.T) {
 	var fams []bitset.Set
 	for i := 0; i < 30; i += 2 {
 		fams = append(fams, bitset.New(i, i+1))
 	}
 	polls := 0
-	got := minimalHittingSets(fams, bitset.Full(30), func() bool { polls++; return true })
+	got := hittingSets(fams, bitset.Full(30), func() bool { polls++; return true })
 	if got != nil || polls != 1 {
 		t.Fatalf("stopped enumeration returned %d sets after %d polls, want nil after 1", len(got), polls)
 	}
-	if n := len(minimalHittingSets(fams, bitset.Full(30), func() bool { return false })); n != 1<<15 {
+	if n := len(hittingSets(fams, bitset.Full(30), func() bool { return false })); n != 1<<15 {
 		t.Fatalf("unstopped enumeration found %d sets, want %d", n, 1<<15)
 	}
+
+	// A context that turns cancelled between two polls: the exported entry
+	// must stop mid-search, not finish the enumeration and report ctx.Err()
+	// after it.
+	ctx := &cancelAfterCtx{Context: context.Background(), quiet: 1}
+	got, err := MinimalHittingSets(ctx, fams, bitset.Full(30))
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("cancelled MinimalHittingSets = %d sets, %v; want none, context.Canceled", len(got), err)
+	}
+	if ctx.polls > 3 {
+		t.Fatalf("cancelled MinimalHittingSets polled ctx %d times, want it to stop at the first cancelled poll", ctx.polls)
+	}
+}
+
+// cancelAfterCtx reports no error for its first quiet polls of Err and
+// context.Canceled after.
+type cancelAfterCtx struct {
+	context.Context
+	quiet, polls int
+}
+
+func (c *cancelAfterCtx) Err() error {
+	c.polls++
+	if c.polls > c.quiet {
+		return context.Canceled
+	}
+	return nil
 }

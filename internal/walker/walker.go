@@ -10,6 +10,14 @@
 // set-tries, and filling unvisited "holes" by comparing the found minimal
 // true sets against the minimal hitting sets of the complements of the found
 // maximal false sets.
+//
+// Hole detection does only the enumeration and the walks. The complements
+// of the maximal-false antichain are themselves an antichain, so they go to
+// the MMCS search without the minimisation pass of the exported
+// MinimalHittingSets. MMCS keeps per edge the number and the sum of the
+// partial set's columns that hit it, so an edge hit once names its one
+// hitting column in O(1). A found minimal true set is checked against the
+// candidates by exact lookup.
 package walker
 
 import (
@@ -252,12 +260,16 @@ func (w *state) maximize(s bitset.Set) bitset.Set {
 }
 
 func (w *state) fillHoles() bool {
+	// The maximal false sets form an antichain inside base, so their
+	// complements do too: they are already the minimal edges MMCS needs. A
+	// false certificate equal to base leaves an empty edge, which nothing
+	// hits.
 	complements := make([]bitset.Set, 0, w.falses.Len())
 	w.falses.ForEach(func(m bitset.Set) bool {
 		complements = append(complements, w.base.Diff(m))
 		return true
 	})
-	candidates := minimalHittingSets(complements, w.base, w.cancelled)
+	candidates := hittingSets(complements, w.base, w.cancelled)
 	if w.cancelled() {
 		return false
 	}
@@ -275,18 +287,15 @@ func (w *state) fillHoles() bool {
 	}
 	// Dually, a found minimal-true set that is not a minimal hitting set
 	// signals a missing maximal-false certificate below it.
-	var hits settrie.MinimalFamily
-	for _, h := range candidates {
-		if w.cancelled() {
-			return false
-		}
-		hits.Add(h)
+	hit := make(map[bitset.Set]struct{}, len(candidates))
+	for _, c := range candidates {
+		hit[c] = struct{}{}
 	}
 	for _, u := range w.trues.All() {
 		if w.cancelled() {
 			return false
 		}
-		if hits.Contains(u) {
+		if _, ok := hit[u]; ok {
 			continue
 		}
 		for _, sub := range u.DirectSubsets() {
@@ -310,36 +319,50 @@ func (w *state) fillHoles() bool {
 // extensions are non-minimal. Each minimal hitting set is therefore reached
 // exactly once and no non-minimal one is ever completed, so no global
 // minimality filter is needed.
-func MinimalHittingSets(families []bitset.Set, base bitset.Set) []bitset.Set {
-	return minimalHittingSets(families, base, nil)
-}
-
-// stopStride is how many search nodes minimalHittingSets visits between
-// polls of its stop function.
-const stopStride = 256
-
-// minimalHittingSets is MinimalHittingSets with an optional stop function,
-// polled every stopStride search nodes. Once stop reports true the
-// enumeration is abandoned and the result is nil: the search can take
-// seconds on wide bases, far longer than a cancelled walk may run on.
-func minimalHittingSets(families []bitset.Set, base bitset.Set, stop func() bool) []bitset.Set {
+//
+// The search polls ctx every stopStride search nodes; once ctx is done it is
+// abandoned and MinimalHittingSets returns ctx.Err() with no sets.
+func MinimalHittingSets(ctx context.Context, families []bitset.Set, base bitset.Set) ([]bitset.Set, error) {
 	// Only ⊆-minimal family sets constrain the hitting sets: hitting a set
 	// hits all its supersets. This also catches empty members (nothing can
 	// hit them, so there is no hitting set at all).
 	var minimal settrie.MinimalFamily
 	for _, f := range families {
 		if f.IsEmpty() {
-			return nil
+			return nil, nil
 		}
 		minimal.Add(f.Intersect(base))
 	}
-	edges := minimal.All()
+	out := hittingSets(minimal.All(), base, func() bool { return ctx.Err() != nil })
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// stopStride is how many search nodes hittingSets visits between polls of
+// its stop function.
+const stopStride = 256
+
+// hittingSets is the MMCS enumeration behind MinimalHittingSets, sorted by
+// bitset.Less. edges must be an antichain of subsets of base; an empty edge
+// admits no hitting set. stop (nil: never stop) is polled every stopStride
+// search nodes; once it reports true the enumeration is abandoned and the
+// result is nil: the search can take seconds on wide bases, far longer than
+// a cancelled walk may run on.
+func hittingSets(edges []bitset.Set, base bitset.Set, stop func() bool) []bitset.Set {
 	for _, f := range edges {
 		if f.IsEmpty() {
-			return nil // a family member had no columns inside base
+			return nil
 		}
 	}
-	h := mmcs{edges: edges, hits: make([]int, len(edges)), uncovered: len(edges), stop: stop}
+	h := mmcs{
+		edges:     edges,
+		hits:      make([]int, len(edges)),
+		owner:     make([]int, len(edges)),
+		uncovered: len(edges),
+		stop:      stop,
+	}
 	for i, f := range edges {
 		f.ForEach(func(c int) { h.byCol[c] = append(h.byCol[c], i) })
 	}
@@ -351,15 +374,19 @@ func minimalHittingSets(families []bitset.Set, base bitset.Set, stop func() bool
 	return h.out
 }
 
-// mmcs is the state of one MinimalHittingSets enumeration. The partial set
-// is extended and shrunk in place; the counters below are updated
+// mmcs is the state of one hittingSets enumeration. The partial set is
+// extended and shrunk in place; the counters below are updated
 // incrementally by add and remove.
 type mmcs struct {
-	edges     []bitset.Set
-	byCol     [bitset.MaxColumns][]int // indexes of the edges holding each column
-	hits      []int                    // per edge: how many columns of partial hit it
-	crit      [bitset.MaxColumns]int   // per column of partial: edges it alone hits
-	uncovered int                      // edges with hits == 0
+	edges []bitset.Set
+	byCol [bitset.MaxColumns][]int // indexes of the edges holding each column
+	hits  []int                    // per edge: how many columns of partial hit it
+	// owner is, per edge, the sum of the columns of partial that hit it.
+	// When hits[i] == 1 it is the one column hitting edge i, the edge's
+	// critical owner, found without intersecting the edge with partial.
+	owner     []int
+	crit      [bitset.MaxColumns]int // per column of partial: edges it alone hits
+	uncovered int                    // edges with hits == 0
 	partial   bitset.Set
 	out       []bitset.Set
 	stop      func() bool // nil: never stop
@@ -416,7 +443,7 @@ func (h *mmcs) recurse(cand bitset.Set) {
 }
 
 // add puts v into partial: edges v is first to hit become critical for v,
-// and an edge hit so far only by u stops being critical for u.
+// and an edge hit so far only by its owner stops being critical for it.
 func (h *mmcs) add(v int) {
 	for _, i := range h.byCol[v] {
 		switch h.hits[i] {
@@ -424,9 +451,10 @@ func (h *mmcs) add(v int) {
 			h.crit[v]++
 			h.uncovered--
 		case 1:
-			h.crit[h.edges[i].Intersect(h.partial).First()]--
+			h.crit[h.owner[i]]--
 		}
 		h.hits[i]++
+		h.owner[i] += v
 	}
 	h.partial = h.partial.With(v)
 }
@@ -436,12 +464,13 @@ func (h *mmcs) remove(v int) {
 	h.partial = h.partial.Without(v)
 	for _, i := range h.byCol[v] {
 		h.hits[i]--
+		h.owner[i] -= v
 		switch h.hits[i] {
 		case 0:
 			h.crit[v]--
 			h.uncovered++
 		case 1:
-			h.crit[h.edges[i].Intersect(h.partial).First()]++
+			h.crit[h.owner[i]]++
 		}
 	}
 }

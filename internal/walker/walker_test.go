@@ -1,12 +1,14 @@
 package walker
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"holistic/internal/bitset"
+	"holistic/internal/settrie"
 )
 
 // naive computes the minimal true and maximal false sets of a monotone
@@ -147,20 +149,30 @@ func TestNonFullBase(t *testing.T) {
 	}
 }
 
+// mhs runs MinimalHittingSets under a context that is never cancelled.
+func mhs(t *testing.T, families []bitset.Set, base bitset.Set) []bitset.Set {
+	t.Helper()
+	got, err := MinimalHittingSets(context.Background(), families, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestMinimalHittingSets(t *testing.T) {
 	// Families {A,B}, {B,C}: minimal hitting sets are {B}, {A,C}.
 	fams := []bitset.Set{bitset.FromLetters("AB"), bitset.FromLetters("BC")}
-	got := MinimalHittingSets(fams, bitset.Full(3))
+	got := mhs(t, fams, bitset.Full(3))
 	want := []bitset.Set{bitset.FromLetters("B"), bitset.FromLetters("AC")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("hitting sets = %v, want %v", got, want)
 	}
 	// An empty family set can never be hit.
-	if got := MinimalHittingSets([]bitset.Set{{}}, bitset.Full(3)); got != nil {
+	if got := mhs(t, []bitset.Set{{}}, bitset.Full(3)); got != nil {
 		t.Errorf("hitting sets with empty member = %v, want nil", got)
 	}
 	// No constraints: the empty set is the unique minimal hitting set.
-	if got := MinimalHittingSets(nil, bitset.Full(3)); len(got) != 1 || !got[0].IsEmpty() {
+	if got := mhs(t, nil, bitset.Full(3)); len(got) != 1 || !got[0].IsEmpty() {
 		t.Errorf("hitting sets of empty family = %v", got)
 	}
 }
@@ -203,7 +215,7 @@ func TestQuickMinimalHittingSetsMatchesNaive(t *testing.T) {
 			return true
 		}
 		want, _ := naive(base, hitsAll)
-		got := MinimalHittingSets(fams, base)
+		got := mhs(t, fams, base)
 		if len(want) == 0 {
 			return len(got) == 0
 		}
@@ -286,6 +298,118 @@ func TestQuickSeedingPreservesResult(t *testing.T) {
 		return reflect.DeepEqual(plain.MinimalTrue, seeded.MinimalTrue) &&
 			reflect.DeepEqual(plain.MaximalFalse, seeded.MaximalFalse)
 	}, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: on 10–14-column bases with 6–16 generators, where walks need
+// several hole-filling rounds, the walk still agrees with full enumeration,
+// with and without valid certificates drawn from the answer as seeds.
+func TestQuickWideWalkerMatchesNaive(t *testing.T) {
+	cfg := &quick.Config{
+		MaxCount: 40,
+		Values: func(vals []reflect.Value, rnd *rand.Rand) {
+			n := 10 + rnd.Intn(5)
+			var base bitset.Set
+			for c := 0; base.Len() < n; c++ {
+				if rnd.Intn(4) != 0 { // sparse bases leave gaps below column n
+					base = base.With(c)
+				}
+			}
+			density := 2 + rnd.Intn(3) // a column joins a generator with p = 1/density
+			var gens []bitset.Set
+			for len(gens) < 6+rnd.Intn(11) {
+				var g bitset.Set
+				base.ForEach(func(c int) {
+					if rnd.Intn(density) == 0 {
+						g = g.With(c)
+					}
+				})
+				if !g.IsEmpty() {
+					gens = append(gens, g)
+				}
+			}
+			vals[0] = reflect.ValueOf(base)
+			vals[1] = reflect.ValueOf(gens)
+			vals[2] = reflect.ValueOf(rnd.Int63())
+			vals[3] = reflect.ValueOf(rnd.Intn(2) == 0)
+		},
+	}
+	if err := quick.Check(func(base bitset.Set, gens []bitset.Set, seed int64, seeded bool) bool {
+		pred := monotonePred(gens)
+		wantTrue, wantFalse := naive(base, pred)
+		opts := Options{Seed: seed}
+		if seeded {
+			pick := rand.New(rand.NewSource(seed))
+			for _, s := range wantTrue {
+				if pick.Intn(2) == 0 {
+					opts.KnownTrue = append(opts.KnownTrue, s)
+				}
+			}
+			for _, s := range wantFalse {
+				if pick.Intn(2) == 0 {
+					opts.KnownFalse = append(opts.KnownFalse, s)
+				}
+			}
+		}
+		res := Run(base, pred, opts)
+		return reflect.DeepEqual(res.MinimalTrue, wantTrue) &&
+			reflect.DeepEqual(res.MaximalFalse, wantFalse)
+	}, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the MMCS entry hole filling calls directly, without the
+// minimisation pass, agrees with MinimalHittingSets on the complements of
+// random antichains of maximal sets inside a base, whatever their order.
+func TestQuickHittingSetsMatchesExported(t *testing.T) {
+	check := func(base bitset.Set, maximal []bitset.Set) bool {
+		complements := make([]bitset.Set, 0, len(maximal))
+		for _, m := range maximal {
+			complements = append(complements, base.Diff(m))
+		}
+		got := hittingSets(complements, base, nil)
+		return reflect.DeepEqual(got, mhs(t, complements, base))
+	}
+	// A false certificate equal to base leaves one empty complement: nothing
+	// hits it, so there are no candidates.
+	base := bitset.Full(6)
+	if got := hittingSets([]bitset.Set{{}}, base, nil); got != nil || !check(base, []bitset.Set{base}) {
+		t.Errorf("hitting sets of the empty complement = %v, want none", got)
+	}
+	// With no false certificate the only candidate is the empty set.
+	if got := hittingSets(nil, base, nil); !reflect.DeepEqual(got, []bitset.Set{{}}) || !check(base, nil) {
+		t.Errorf("hitting sets of no complements = %v, want [{}]", got)
+	}
+
+	cfg := &quick.Config{
+		MaxCount: 300,
+		Values: func(vals []reflect.Value, rnd *rand.Rand) {
+			n := 1 + rnd.Intn(14)
+			var base bitset.Set
+			for c := 0; base.Len() < n; c++ {
+				if rnd.Intn(3) != 0 {
+					base = base.With(c)
+				}
+			}
+			var family settrie.MaximalFamily
+			for i := 0; i < rnd.Intn(30); i++ {
+				var m bitset.Set
+				base.ForEach(func(c int) {
+					if rnd.Intn(3) != 0 {
+						m = m.With(c)
+					}
+				})
+				family.Add(m)
+			}
+			maximal := family.All()
+			rnd.Shuffle(len(maximal), func(i, j int) { maximal[i], maximal[j] = maximal[j], maximal[i] })
+			vals[0] = reflect.ValueOf(base)
+			vals[1] = reflect.ValueOf(maximal)
+		},
+	}
+	if err := quick.Check(check, cfg); err != nil {
 		t.Error(err)
 	}
 }
